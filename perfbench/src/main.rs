@@ -200,6 +200,16 @@ fn run(args: &Args) -> Result<Outcome, String> {
     Ok(out)
 }
 
+/// Deletes the generated WCCS files: the seed reproduces them, and a
+/// serve_live schedule is several MB per run.
+fn remove_inputs(work: &std::path::Path) {
+    for entry in std::fs::read_dir(work).into_iter().flatten().flatten() {
+        if entry.path().extension().is_some_and(|x| x == "wccs") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -208,7 +218,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let out = match run(&args) {
+    let out = run(&args);
+    remove_inputs(&args.work);
+    let out = match out {
         Ok(o) => o,
         Err(e) => {
             eprintln!("perfbench: {}: {e}", args.workload);
