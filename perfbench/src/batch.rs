@@ -26,9 +26,11 @@ use crate::{Args, Outcome};
 
 const VERTICES: usize = 8_000;
 const DEGREE: usize = 8;
-/// Set-ups per run; `setup_s` is their median. Generating the graphs takes
-/// milliseconds, so many repeats steady the median.
-const SETUPS: usize = 9;
+/// Set-ups timed back to back before the first solve and again after each
+/// solve; `setup_s` is the median of all of them. A set-up takes a few
+/// milliseconds and its time drifts with the shared host over seconds, so
+/// the samples are spread over the whole run, as the solves are.
+const SETUPS: usize = 15;
 /// Graphs per run, solved in turn. A solve's time depends on the graph the
 /// seed draws by several percent, so each run times several graphs.
 const GRAPHS: u64 = 3;
@@ -38,25 +40,28 @@ fn generate(seed: u64) -> Graph {
     generators::planted_expander_components(&[VERTICES / 2, VERTICES / 2], DEGREE, &mut rng)
 }
 
-/// The run's graphs: `GRAPHS` of them, each from its own seed derived from
-/// the run's.
-fn graphs(seed: u64) -> Vec<Graph> {
-    (0..GRAPHS)
+/// The run's graphs and their true labels, the inputs every solve uses and
+/// is checked against: `GRAPHS` graphs, each from its own seed derived
+/// from the run's.
+fn inputs(seed: u64) -> (Vec<Graph>, Vec<ComponentLabels>) {
+    let gs: Vec<Graph> = (0..GRAPHS)
         .map(|i| generate(seed.wrapping_mul(GRAPHS).wrapping_add(i)))
-        .collect()
+        .collect();
+    let truths = gs.iter().map(connected_components).collect();
+    (gs, truths)
 }
 
-fn setup(seed: u64, out: &mut Outcome) -> Vec<Graph> {
-    let mut times = Vec::with_capacity(SETUPS);
-    let mut gs = Vec::new();
+/// Makes the run's inputs `SETUPS` times over and adds each time to
+/// `times`.
+fn setup(seed: u64, times: &mut Vec<f64>) -> (Vec<Graph>, Vec<ComponentLabels>) {
+    let mut made = (Vec::new(), Vec::new());
     for _ in 0..SETUPS {
         let t = Instant::now();
-        gs = graphs(seed);
+        let next = inputs(seed);
         times.push(t.elapsed().as_secs_f64());
+        made = next;
     }
-    out.metric("setup_s", median(&times), "s");
-    out.samples.push(("setup_s", times.len()));
-    gs
+    made
 }
 
 /// Whether a solve is right: exact components, and the model quantities
@@ -74,8 +79,8 @@ fn solve_ok(
 
 pub fn measure(args: &Args) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let gs = setup(args.seed, &mut out);
-    let truths: Vec<ComponentLabels> = gs.iter().map(connected_components).collect();
+    let mut setup_s = Vec::new();
+    let (gs, truths) = setup(args.seed, &mut setup_s);
     let params = Params::laptop_scale().with_threads(nproc());
 
     // An untimed solve of the first graph warms caches and the worker pool.
@@ -103,7 +108,10 @@ pub fn measure(args: &Args) -> Result<Outcome, String> {
             solve_ok(&r.components, &r.stats, &truths[k], model)
         });
         failed += u64::from(!ok);
+        setup(args.seed, &mut setup_s);
     }
+    out.metric("setup_s", median(&setup_s), "s");
+    out.samples.push(("setup_s", setup_s.len()));
     out.tally(1 + times_ms.len() as u64, failed);
     out.metric("batch_p50_ms", median(&times_ms), "ms");
     out.detail

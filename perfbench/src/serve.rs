@@ -14,6 +14,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
@@ -45,6 +46,9 @@ const EXTRA_IDS: u64 = 1_000;
 const SETUPS: usize = 3;
 /// Seconds per probe of the rate ladder in the traced run.
 const LADDER_STEP_S: f64 = 0.5;
+/// Query time the traced run's schedule allows for the ladder beyond the
+/// fixed-rate phase: twice its probes' time, for the drains between them.
+const LADDER_BUDGET_S: f64 = 2.0 * load::LADDER_PROBES as f64 * LADDER_STEP_S;
 
 /// Batches after the bootstrap chunk, enough to outlast `seconds` of
 /// queries.
@@ -178,8 +182,10 @@ impl Drop for ServeProcess {
     }
 }
 
-fn write_schedule(args: &Args) -> Result<(Vec<Vec<EdgeOp>>, PathBuf), String> {
-    let schedule = generate(args.seed, batches(args.seconds));
+/// Generates and writes a schedule that outlasts `query_s` seconds of
+/// queries.
+fn write_schedule(args: &Args, query_s: f64) -> Result<(Vec<Vec<EdgeOp>>, PathBuf), String> {
+    let schedule = generate(args.seed, batches(query_s));
     let path = args.work.join(format!("serve-{}.wccs", args.seed));
     write_op_chunks_file(&schedule, &path).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok((schedule, path))
@@ -188,7 +194,7 @@ fn write_schedule(args: &Args) -> Result<(Vec<Vec<EdgeOp>>, PathBuf), String> {
 /// Generate and write the schedule, start the server and wait for the
 /// bootstrap epoch.
 fn setup(args: &Args) -> Result<(Vec<Vec<EdgeOp>>, ServeProcess), String> {
-    let (schedule, path) = write_schedule(args)?;
+    let (schedule, path) = write_schedule(args, args.seconds)?;
     let server = ServeProcess::spawn(&args.wcc, &path, args.seed)?;
     load::wait_epoch(server.addr, 1, Duration::from_secs(120))?;
     Ok((schedule, server))
@@ -317,16 +323,23 @@ fn is_traced(i: usize) -> bool {
     i.is_multiple_of(2)
 }
 
-/// One in-process ingest pass under the fixed-rate query load: what the
-/// `wcc serve` loop does, with spans around the ingest, snapshot and
-/// publish calls of every other batch when a tracer is given.
+/// One in-process ingest pass: what the `wcc serve` loop does, with spans
+/// around the ingest, snapshot and publish calls of every other batch,
+/// while the generator offers the fixed rate and then climbs the rate
+/// ladder. Ingestion stops when the load does.
 struct Pass {
     bootstrap_s: f64,
     /// Busy time of each churn batch (apply + snapshot + publish), in s.
     busy_s: Vec<f64>,
     reports: Vec<wcc_core::stream::BatchReport>,
+    /// The fixed-rate phase, and the server's latency histogram at its end.
     load: load::PhaseOut,
     server_buckets: Vec<u64>,
+    ladder: load::LadderOut,
+    /// Whether batches were still being ingested when the load ended.
+    ingest_outlasted_load: bool,
+    /// Queries the server answered over the whole pass.
+    server_queries: u64,
     engine: IncrementalComponents,
 }
 
@@ -334,7 +347,7 @@ fn pass(
     args: &Args,
     schedule: &[Vec<EdgeOp>],
     oracle: &Oracle,
-    mut tr: Option<&mut Tracer>,
+    tr: &mut Tracer,
 ) -> Result<Pass, String> {
     let server = Server::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let mut engine = IncrementalComponents::new(
@@ -349,46 +362,60 @@ fn pass(
     server.publish(engine.snapshot(1));
     let addr = server.local_addr();
     let ids = query_ids();
-    let ingest_s = (schedule.len() - 1) as f64 * INGEST_DELAY_MS / 1e3;
+    let load_done = AtomicBool::new(false);
     let mut busy_s = Vec::new();
     let mut reports = Vec::new();
-    let load = std::thread::scope(|s| -> Result<load::PhaseOut, String> {
+    let (load, stats, ladder) = std::thread::scope(|s| -> Result<_, String> {
         let load = s.spawn(|| {
-            load::run_phase(
+            let fixed = load::run_phase(
                 addr,
                 load::FIXED_QPS,
-                ingest_s - INGEST_SLACK_S,
+                args.seconds,
                 load::connections(),
                 &ids,
                 args.seed,
                 oracle,
-            )
+            );
+            let stats = load::stats(addr);
+            let ladder = load::ladder(
+                addr,
+                load::connections(),
+                &ids,
+                args.seed,
+                oracle,
+                LADDER_STEP_S,
+            );
+            load_done.store(true, Ordering::Release);
+            (fixed, stats, ladder)
         });
         for (e, ops) in schedule.iter().enumerate().skip(1) {
+            if load_done.load(Ordering::Acquire) {
+                break;
+            }
             let epoch = e as u64 + 1;
             // Spans on every other batch: the batches between them, under
             // the same load at the same time, are the untraced baseline.
-            let mut span = tr.as_deref_mut().filter(|_| is_traced(e - 1));
+            let traced = is_traced(e - 1);
             let started = Instant::now();
-            if let Some(t) = span.as_deref_mut() {
-                t.enter("batch");
-                t.enter("ingest");
+            if traced {
+                tr.enter("batch");
+                tr.enter("ingest");
             }
             let report = engine.apply_ops_batch(ops).map_err(|e| e.to_string())?;
-            if let Some(t) = span.as_deref_mut() {
-                let idx = t.exit();
-                t.rename(idx, &format!("ingest:{}", report.path.label()));
-                t.enter("snapshot");
+            if traced {
+                let idx = tr.exit();
+                tr.rename(idx, &format!("ingest:{}", report.path.label()));
+                tr.enter("snapshot");
             }
             let snap = engine.snapshot(epoch);
-            if let Some(t) = span.as_deref_mut() {
-                t.exit();
-                t.enter("publish");
+            if traced {
+                tr.exit();
+                tr.enter("publish");
             }
             server.publish(snap);
-            if let Some(t) = span {
-                t.exit();
-                t.exit();
+            if traced {
+                tr.exit();
+                tr.exit();
             }
             busy_s.push(started.elapsed().as_secs_f64());
             reports.push(report);
@@ -396,11 +423,9 @@ fn pass(
         }
         Ok(load.join().expect("load thread panicked"))
     })?;
-    let stats = if let Some(t) = tr {
-        t.span("stats", |_| load::stats(addr))?
-    } else {
-        load::stats(addr)?
-    };
+    let ingest_outlasted_load = reports.len() + 1 < schedule.len();
+    let stats = stats?;
+    let total = tr.span("stats", |_| load::stats(addr))?;
     server.shutdown().map_err(|e| e.to_string())?;
     Ok(Pass {
         bootstrap_s,
@@ -408,17 +433,20 @@ fn pass(
         reports,
         load,
         server_buckets: stats.latency_buckets,
+        ladder,
+        ingest_outlasted_load,
+        server_queries: total.queries,
         engine,
     })
 }
 
 /// The traced run: decode under a span, one in-process pass with every
-/// other batch traced, the rate ladder on the final snapshot, plus
+/// other batch traced and the rate ladder climbed while it ingests, plus
 /// in-process costs of a snapshot lookup and a protocol round trip.
 pub fn traced(args: &Args) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     let mut tr = Tracer::default();
-    let (schedule, path) = write_schedule(args)?;
+    let (schedule, path) = write_schedule(args, args.seconds + LADDER_BUDGET_S)?;
     let exec = Executor::threaded(nproc());
     let t = Instant::now();
     let decoded = tr
@@ -435,7 +463,7 @@ pub fn traced(args: &Args) -> Result<Outcome, String> {
 
     let walk0 = wcc_mpc::walk_telemetry_snapshot();
     let pool0 = Executor::process_pool_telemetry();
-    let mut traced = pass(args, &decoded, &oracle, Some(&mut tr))?;
+    let mut traced = pass(args, &decoded, &oracle, &mut tr)?;
     let pool1 = Executor::process_pool_telemetry();
     let walk1 = wcc_mpc::walk_telemetry_snapshot();
     out.tally(
@@ -524,25 +552,13 @@ pub fn traced(args: &Args) -> Result<Outcome, String> {
         "us",
     );
     out.metric("serve.client_p99_us", traced.load.p99_us(), "us");
-    let snapshot = traced.engine.snapshot(schedule.len() as u64);
+    let snapshot = traced.engine.snapshot(traced.reports.len() as u64 + 1);
     out.metric(
         "serve.snapshot_lookup_ns",
         lookup_ns(&snapshot, &query_ids()),
         "ns",
     );
-
-    // The rate ladder, on the final snapshot with ingestion over.
-    let server = Server::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    server.publish(snapshot);
-    let ladder = load::ladder(
-        server.local_addr(),
-        load::connections(),
-        &query_ids(),
-        args.seed,
-        &oracle,
-        LADDER_STEP_S,
-    );
-    server.shutdown().map_err(|e| e.to_string())?;
+    let ladder = &traced.ladder;
     out.tally(ladder.load.planned, ladder.load.wrong);
     out.metric("serve.max_qps_under_slo", ladder.max_qps, "qps");
     out.metric("serve.protocol_roundtrip_ns", roundtrip_ns(), "ns");
@@ -607,16 +623,23 @@ pub fn traced(args: &Args) -> Result<Outcome, String> {
             ("batches", J::Num(traced.reports.len() as f64)),
             ("queries", J::Num(traced.load.answered as f64)),
             ("publish_samples", J::Num(publish_us.len() as f64)),
+            ("offered_qps", J::Num(load::FIXED_QPS)),
+            ("server_queries", J::Num(traced.server_queries as f64)),
+            (
+                "ingest_outlasted_load",
+                J::Bool(traced.ingest_outlasted_load),
+            ),
             (
                 "ladder",
                 J::Arr(
                     ladder
                         .probes
                         .iter()
-                        .map(|&(r, p99, pass)| {
+                        .map(|&(r, p99, lag, pass)| {
                             J::obj([
                                 ("qps", J::Num(r)),
                                 ("p99_us", J::Num(p99)),
+                                ("lag_p99_us", J::Num(lag)),
                                 ("pass", J::Bool(pass)),
                             ])
                         })
