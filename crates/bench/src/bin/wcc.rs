@@ -555,11 +555,12 @@ fn run_pack(opts: &Options) -> ExitCode {
         }
     };
     let reader = std::io::BufReader::new(input);
-    let summary = match if opts.pack_ops {
-        pack_op_list(reader, output, opts.batch_size)
+    let version = if opts.pack_ops {
+        wcc_graph::io::CHUNK_FORMAT_VERSION_V2
     } else {
-        pack_edge_list(reader, output, opts.batch_size)
-    } {
+        wcc_graph::io::CHUNK_FORMAT_VERSION
+    };
+    let summary = match pack_op_list(reader, output, opts.batch_size, version) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot pack {}: {e}", opts.path);
@@ -568,7 +569,7 @@ fn run_pack(opts: &Options) -> ExitCode {
     };
     println!(
         "packed {} {} into {} chunks of <= {} per chunk: {}",
-        summary.edges,
+        summary.records,
         if opts.pack_ops { "ops" } else { "edges" },
         summary.chunks,
         opts.batch_size,

@@ -357,38 +357,6 @@ pub struct IncrementalComponents {
     snap_structure_dirty: bool,
 }
 
-/// A uniform, allocation-free view over the two batch encodings: legacy
-/// insert-only edge slices and signed op slices. Keeps the hot insert-only
-/// path free of per-batch op materialisation.
-#[derive(Clone, Copy)]
-enum OpsView<'a> {
-    Edges(&'a [(u64, u64)]),
-    Ops(&'a [EdgeOp]),
-}
-
-impl OpsView<'_> {
-    fn len(&self) -> usize {
-        match self {
-            OpsView::Edges(e) => e.len(),
-            OpsView::Ops(o) => o.len(),
-        }
-    }
-
-    fn has_delete(&self) -> bool {
-        match self {
-            OpsView::Edges(_) => false,
-            OpsView::Ops(o) => o.iter().any(|op| op.kind == OpKind::Delete),
-        }
-    }
-
-    fn get(&self, i: usize) -> EdgeOp {
-        match self {
-            OpsView::Edges(e) => EdgeOp::insert(e[i].0, e[i].1),
-            OpsView::Ops(o) => o[i],
-        }
-    }
-}
-
 /// The `Arc`-shared payloads of the last snapshot build — see
 /// [`IncrementalComponents::snapshot`] for the reuse contract.
 #[derive(Debug, Clone)]
@@ -439,34 +407,36 @@ impl IncrementalComponents {
         }
     }
 
-    /// Applies one insert-only edge batch (raw `u64` vertex ids, as decoded
-    /// from the version-1 binary chunk format) and reports which path it
-    /// took and what it cost.
+    /// Applies one insert-only batch of raw `u64` edges: the same as
+    /// [`apply_ops_batch`](Self::apply_ops_batch) with every pair an
+    /// insertion.
+    ///
+    /// # Errors
+    ///
+    /// See [`apply_ops_batch`](Self::apply_ops_batch).
+    pub fn apply_batch(&mut self, batch: &[(u64, u64)]) -> Result<BatchReport, CoreError> {
+        let ops: Vec<EdgeOp> = batch.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect();
+        self.apply_ops_batch(&ops)
+    }
+
+    /// Applies one op batch (insertions and deletions on raw vertex ids, as
+    /// decoded from a binary chunk stream of either version) and reports
+    /// which path it took and what it cost.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] if a slow-path recompute fails (bad parameters,
     /// infeasible cluster) or the dense vertex space overflows `u32`. The
-    /// labelling itself remains correct after an error — only the
+    /// labelling itself remains correct after such an error — only the
     /// certificate refresh is missed, and the next escalation retries it.
-    pub fn apply_batch(&mut self, batch: &[(u64, u64)]) -> Result<BatchReport, CoreError> {
-        self.apply_ops_impl(OpsView::Edges(batch))
-    }
-
-    /// Applies one turnstile op batch (insertions and deletions on raw
-    /// vertex ids, as decoded from the version-2 binary chunk format).
-    ///
-    /// # Errors
-    ///
-    /// In addition to the [`apply_batch`](Self::apply_batch) errors, a
-    /// deletion with no live copy to remove — an edge never inserted, or
+    /// A deletion with no live copy to remove — an edge never inserted, or
     /// already deleted, accounting for earlier ops *in the same batch* —
     /// returns [`CoreError::BadParams`] **before any state changes**: the
     /// whole batch is validated against the live multiset first, so a
     /// rejected batch leaves the engine exactly as it was.
     pub fn apply_ops_batch(&mut self, batch: &[EdgeOp]) -> Result<BatchReport, CoreError> {
         self.validate_deletions(batch)?;
-        self.apply_ops_impl(OpsView::Ops(batch))
+        self.apply_ops_impl(batch)
     }
 
     /// Rejects any delete op that would over-delete: at its position in the
@@ -512,14 +482,14 @@ impl IncrementalComponents {
         self.edge_slots.get(&key).map_or(0, Vec::len)
     }
 
-    fn apply_ops_impl(&mut self, view: OpsView<'_>) -> Result<BatchReport, CoreError> {
+    fn apply_ops_impl(&mut self, ops: &[EdgeOp]) -> Result<BatchReport, CoreError> {
         let started = Instant::now();
         let rounds_before = self.total_rounds();
         let words_before = self.total_communication_words();
         let batch_index = self.batches_applied;
         self.batches_applied += 1;
 
-        let len = view.len();
+        let len = ops.len();
         let bootstrap = !self.bootstrapped && len > 0;
         let n0 = self.original_ids.len() as u32;
         let min_component = self.params.certificate_min_component;
@@ -536,7 +506,7 @@ impl IncrementalComponents {
         // First deletion ever: build the turnstile sketch from the live
         // multiset (insert-only workloads never get here). One simulated
         // round routing every live edge to its two endpoint sketches.
-        if view.has_delete() && self.sketch.is_none() {
+        if self.sketch.is_none() && ops.iter().any(|op| op.kind == OpKind::Delete) {
             self.ctx.charge_shuffle(2 * self.live_edges);
             let mut sk =
                 DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed);
@@ -560,8 +530,7 @@ impl IncrementalComponents {
         // batch — candidates for a sketch-Borůvka re-certify-or-split.
         let mut dirty: Vec<u32> = Vec::new();
 
-        for i in 0..len {
-            let op = view.get(i);
+        for op in ops {
             match op.kind {
                 OpKind::Insert => {
                     insertions += 1;

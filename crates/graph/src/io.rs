@@ -12,33 +12,24 @@
 //!   (the mapping is returned).
 //!
 //! **Binary chunks** — the streaming ingestion format: a batch schedule is a
-//! sequence of edge chunks, each decodable independently (so a simulated
+//! sequence of op chunks, each decodable independently (so a simulated
 //! cluster can fan the decode out chunk-by-chunk — see
-//! `wcc_mpc::stream::decode_edge_chunks`). Everything is little-endian:
+//! `wcc_mpc::stream::decode_op_chunks`). Everything is little-endian:
 //!
 //! ```text
 //! file   := magic "WCCS" | version u32 | chunk*
 //! chunk  := payload_len u64 | payload          (payload_len in bytes)
-//! payload:= (src u64 | dst u64)*               (payload_len / 16 edges)
-//! ```
-//!
-//! **Version 2** makes the stream *turnstile*: every record carries a 1-byte
-//! op tag ahead of the endpoints, so a chunk can mix edge insertions and
-//! deletions:
-//!
-//! ```text
-//! file   := magic "WCCS" | version=2 u32 | chunk*
-//! chunk  := payload_len u64 | payload          (payload_len in bytes)
-//! payload:= (op u8 | src u64 | dst u64)*       (payload_len / 17 records)
+//! payload:= record*
+//! record := src u64 | dst u64                  (version 1: 16 bytes, an insert)
+//!         | op u8 | src u64 | dst u64          (version 2: 17 bytes)
 //! op     := 0 (insert) | 1 (delete)            (anything else is Corrupt)
 //! ```
 //!
-//! The op-aware readers ([`read_op_chunk_frames`], [`decode_op_chunk`],
-//! [`read_op_chunks`]) accept *both* versions — a version-1 stream decodes as
-//! all-insert ops, bit for bit the same edges the version-1 reader returns —
-//! while the version-1 readers ([`read_chunk_frames`] and friends) keep
-//! rejecting version 2, so existing consumers cannot silently misread signed
-//! streams as insert-only.
+//! Version 1 is insert-only; version 2 is *turnstile*: the op tag lets a
+//! chunk mix edge insertions and deletions. Both versions share one path.
+//! [`read_op_chunk_frames`] accepts either, [`decode_op_chunk`] decodes both
+//! record layouts into [`EdgeOp`]s (a version-1 record is an insertion), and
+//! [`ChunkWriter`] writes the version it was built with.
 //!
 //! Vertex ids are raw `u64`s (not remapped); a clean EOF is only legal at a
 //! chunk boundary. Malformed input — wrong magic, a payload length that is
@@ -55,15 +46,15 @@ use crate::graph::{Graph, GraphBuilder};
 /// Magic bytes opening a binary chunk stream.
 pub const CHUNK_MAGIC: [u8; 4] = *b"WCCS";
 
-/// Version written by (and the only one accepted by) the insert-only
-/// reader/writer pair.
+/// The insert-only format version: untagged [`CHUNK_BYTES_PER_EDGE`]-byte
+/// records, each one an insertion. `wcc pack` writes it unless asked for ops.
 pub const CHUNK_FORMAT_VERSION: u32 = 1;
 
-/// The turnstile format version: every record carries a 1-byte op tag.
-/// Written by the op writers; the op readers accept versions 1 and 2.
+/// The turnstile format version: [`CHUNK_BYTES_PER_OP`]-byte records that
+/// each carry a 1-byte op tag ahead of the endpoints.
 pub const CHUNK_FORMAT_VERSION_V2: u32 = 2;
 
-/// Bytes of one encoded edge: two little-endian `u64` endpoints.
+/// Bytes of one version-1 record: two little-endian `u64` endpoints.
 pub const CHUNK_BYTES_PER_EDGE: usize = 16;
 
 /// Bytes of one version-2 record: op tag + two little-endian `u64` endpoints.
@@ -75,6 +66,16 @@ pub const OP_TAG_INSERT: u8 = 0;
 /// Version-2 op tag for an edge deletion.
 pub const OP_TAG_DELETE: u8 = 1;
 
+/// Bytes of one record in a chunk stream of format `version`, or `None` for
+/// a version this module does not know.
+fn record_size(version: u32) -> Option<usize> {
+    match version {
+        CHUNK_FORMAT_VERSION => Some(CHUNK_BYTES_PER_EDGE),
+        CHUNK_FORMAT_VERSION_V2 => Some(CHUNK_BYTES_PER_OP),
+        _ => None,
+    }
+}
+
 /// The kind of a turnstile stream operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
@@ -84,8 +85,8 @@ pub enum OpKind {
     Delete,
 }
 
-/// One record of a version-2 (turnstile) chunk stream: a signed edge update
-/// on raw (un-remapped) vertex ids.
+/// One record of a chunk stream: a signed edge update on raw (un-remapped)
+/// vertex ids. Version-1 streams carry insertions only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeOp {
     /// Insert or delete.
@@ -154,8 +155,10 @@ pub enum IoError {
         /// Bytes actually available.
         got_bytes: usize,
     },
-    /// A binary chunk whose header or payload is structurally invalid (e.g.
-    /// a payload length that is not a multiple of [`CHUNK_BYTES_PER_EDGE`]).
+    /// A binary chunk whose header or payload is structurally invalid: a
+    /// payload length that is not a whole number of records
+    /// ([`CHUNK_BYTES_PER_EDGE`] bytes each in version 1,
+    /// [`CHUNK_BYTES_PER_OP`] in version 2), or an unknown op tag.
     Corrupt {
         /// 0-based index of the offending chunk.
         chunk: usize,
@@ -317,145 +320,160 @@ fn read_up_to<R: Read>(reader: &mut R, buf: &mut [u8]) -> std::io::Result<usize>
     Ok(filled)
 }
 
-/// Writes a sequence of edge batches as a binary chunk stream (see the
-/// module docs for the exact layout). One chunk per batch; vertex ids are
-/// written raw, without remapping.
-///
-/// # Errors
-///
-/// Returns any I/O error from the writer.
-pub fn write_edge_chunks<W: Write, C: AsRef<[(u64, u64)]>>(
-    chunks: &[C],
-    writer: W,
-) -> std::io::Result<()> {
-    let mut out = BufWriter::new(writer);
-    out.write_all(&CHUNK_MAGIC)?;
-    out.write_all(&CHUNK_FORMAT_VERSION.to_le_bytes())?;
-    for chunk in chunks {
-        let edges = chunk.as_ref();
-        let payload_len = (edges.len() as u64) * CHUNK_BYTES_PER_EDGE as u64;
-        out.write_all(&payload_len.to_le_bytes())?;
-        for &(u, v) in edges {
-            out.write_all(&u.to_le_bytes())?;
-            out.write_all(&v.to_le_bytes())?;
-        }
-    }
-    out.flush()
-}
-
-/// Writes a binary chunk stream to a file path.
-///
-/// # Errors
-///
-/// See [`write_edge_chunks`].
-pub fn write_edge_chunks_file<C: AsRef<[(u64, u64)]>>(
-    chunks: &[C],
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    write_edge_chunks(chunks, std::fs::File::create(path)?)
-}
-
-/// Incremental writer for the binary chunk stream: the file header goes out
-/// at construction and each [`ChunkWriter::write_chunk`] call appends one
-/// chunk, so a producer can emit an arbitrarily long schedule without ever
-/// materialising it — the streaming `wcc pack` holds one batch of edges at a
-/// time regardless of input size. Byte-for-byte identical output to
-/// [`write_edge_chunks`] fed the same batches.
+/// Incremental writer for the binary chunk stream. The file header, with the
+/// format version chosen at construction, goes out when the writer is built,
+/// and each [`ChunkWriter::write_chunk`] call appends one chunk, so a
+/// producer can emit an arbitrarily long schedule without ever materialising
+/// it — the streaming `wcc pack` holds one batch at a time regardless of
+/// input size.
 #[derive(Debug)]
 pub struct ChunkWriter<W: Write> {
     out: BufWriter<W>,
+    /// Version 2: every record leads with its op tag.
+    tagged: bool,
     chunks_written: usize,
-    edges_written: u64,
+    records_written: u64,
 }
 
 impl<W: Write> ChunkWriter<W> {
-    /// Starts a chunk stream: writes the magic + version header.
+    /// Starts a chunk stream of format `version` ([`CHUNK_FORMAT_VERSION`]
+    /// or [`CHUNK_FORMAT_VERSION_V2`]): writes the magic + version header.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the writer.
-    pub fn new(writer: W) -> std::io::Result<Self> {
+    /// [`std::io::ErrorKind::InvalidInput`] for any other version (nothing
+    /// is written), otherwise any I/O error from the writer.
+    pub fn new(writer: W, version: u32) -> std::io::Result<Self> {
+        if record_size(version).is_none() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("unsupported chunk format version {version}"),
+            ));
+        }
         let mut out = BufWriter::new(writer);
         out.write_all(&CHUNK_MAGIC)?;
-        out.write_all(&CHUNK_FORMAT_VERSION.to_le_bytes())?;
+        out.write_all(&version.to_le_bytes())?;
         Ok(ChunkWriter {
             out,
+            tagged: version == CHUNK_FORMAT_VERSION_V2,
             chunks_written: 0,
-            edges_written: 0,
+            records_written: 0,
         })
     }
 
-    /// Appends one chunk (one batch of raw-id edges, written verbatim).
+    /// Appends one chunk (one batch of raw-id ops, written verbatim).
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the writer.
-    pub fn write_chunk(&mut self, edges: &[(u64, u64)]) -> std::io::Result<()> {
-        let payload_len = (edges.len() as u64) * CHUNK_BYTES_PER_EDGE as u64;
+    /// [`std::io::ErrorKind::InvalidInput`] if a version-1 stream is handed
+    /// a deletion, which its untagged records cannot express; the check runs
+    /// before any byte of the chunk is written, so the stream stays well
+    /// formed. Otherwise any I/O error from the writer.
+    pub fn write_chunk(&mut self, ops: &[EdgeOp]) -> std::io::Result<()> {
+        if !self.tagged && ops.iter().any(|op| op.kind == OpKind::Delete) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a version-1 chunk stream cannot carry deletions",
+            ));
+        }
+        let record_bytes = if self.tagged {
+            CHUNK_BYTES_PER_OP
+        } else {
+            CHUNK_BYTES_PER_EDGE
+        };
+        let payload_len = (ops.len() as u64) * record_bytes as u64;
         self.out.write_all(&payload_len.to_le_bytes())?;
-        for &(u, v) in edges {
-            self.out.write_all(&u.to_le_bytes())?;
-            self.out.write_all(&v.to_le_bytes())?;
+        for op in ops {
+            if self.tagged {
+                self.out.write_all(&[op.tag()])?;
+            }
+            self.out.write_all(&op.u.to_le_bytes())?;
+            self.out.write_all(&op.v.to_le_bytes())?;
         }
         self.chunks_written += 1;
-        self.edges_written += edges.len() as u64;
+        self.records_written += ops.len() as u64;
         Ok(())
     }
 
-    /// Chunks appended so far.
-    pub fn chunks_written(&self) -> usize {
-        self.chunks_written
-    }
-
-    /// Edges appended so far.
-    pub fn edges_written(&self) -> u64 {
-        self.edges_written
-    }
-
-    /// Flushes and returns `(chunks, edges)` written.
+    /// Flushes and returns `(chunks, records)` written.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the final flush.
     pub fn finish(mut self) -> std::io::Result<(usize, u64)> {
         self.out.flush()?;
-        Ok((self.chunks_written, self.edges_written))
+        Ok((self.chunks_written, self.records_written))
     }
 }
 
-/// What a streaming [`pack_edge_list`] run produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackSummary {
-    /// Chunks written (one per `batch_size` edges, last one possibly short).
-    pub chunks: usize,
-    /// Edges written across all chunks.
-    pub edges: u64,
+/// Writes a sequence of op batches as a version-2 binary chunk stream. One
+/// chunk per batch; vertex ids are written raw.
+///
+/// # Errors
+///
+/// Returns any I/O error from the writer.
+pub fn write_op_chunks<W: Write, C: AsRef<[EdgeOp]>>(
+    chunks: &[C],
+    writer: W,
+) -> std::io::Result<()> {
+    let mut out = ChunkWriter::new(writer, CHUNK_FORMAT_VERSION_V2)?;
+    for chunk in chunks {
+        out.write_chunk(chunk.as_ref())?;
+    }
+    out.finish().map(|_| ())
 }
 
-/// Streams a text edge list into the binary chunk format with bounded
-/// memory: lines are parsed through one reusable buffer, raw ids pass
-/// through verbatim (no interning, no graph build), and at most one
-/// `batch_size` batch of edges is resident at a time — packing a 10⁸-edge
-/// input holds a few megabytes, not the edge list. The output is
-/// byte-identical to materialising the whole edge list and calling
-/// [`write_edge_chunks`] on its `batch_size`-sized chunks.
+/// Writes a version-2 binary chunk stream to a file path.
+///
+/// # Errors
+///
+/// See [`write_op_chunks`].
+pub fn write_op_chunks_file<C: AsRef<[EdgeOp]>>(
+    chunks: &[C],
+    path: &std::path::Path,
+) -> std::io::Result<()> {
+    write_op_chunks(chunks, std::fs::File::create(path)?)
+}
+
+/// What a streaming [`pack_op_list`] run produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackSummary {
+    /// Chunks written (one per `batch_size` records, last one possibly short).
+    pub chunks: usize,
+    /// Records (edge ops) written across all chunks.
+    pub records: u64,
+}
+
+/// Streams a text op list into the binary chunk format of `version` with
+/// bounded memory: lines are parsed through one reusable buffer, raw ids
+/// pass through verbatim (no interning, no graph build), and at most one
+/// `batch_size` batch of records is resident at a time — packing a
+/// 10⁸-edge input holds a few megabytes, not the edge list. Line grammar:
+///
+/// * `u v` — insert edge `{u, v}`;
+/// * `+ u v` / `- u v` — insert / delete edge `{u, v}`, version 2 only.
+///   Under version 1 a sign is a parse error, so a version-1 pack accepts
+///   exactly a plain edge list;
+/// * `#`/`%` comments and blank lines are skipped.
 ///
 /// # Errors
 ///
 /// [`IoError::Parse`] (with the 1-based line number) on a malformed line,
-/// [`IoError::Io`] on read/write failures.
+/// [`IoError::Io`] on read/write failures or an unknown `version`.
 ///
 /// # Panics
 ///
 /// Panics if `batch_size` is zero.
-pub fn pack_edge_list<R: BufRead, W: Write>(
+pub fn pack_op_list<R: BufRead, W: Write>(
     mut reader: R,
     writer: W,
     batch_size: usize,
+    version: u32,
 ) -> Result<PackSummary, IoError> {
     assert!(batch_size > 0, "batch_size must be at least 1");
-    let mut out = ChunkWriter::new(writer)?;
-    let mut batch: Vec<(u64, u64)> = Vec::with_capacity(batch_size.min(1 << 20));
+    let mut out = ChunkWriter::new(writer, version)?;
+    let signed = version == CHUNK_FORMAT_VERSION_V2;
+    let mut batch: Vec<EdgeOp> = Vec::with_capacity(batch_size.min(1 << 20));
     let mut line = String::new();
     let mut lineno = 0usize;
     loop {
@@ -468,11 +486,22 @@ pub fn pack_edge_list<R: BufRead, W: Write>(
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
             continue;
         }
-        let mut parts = trimmed.split_whitespace();
+        let mut parts = trimmed.split_whitespace().peekable();
+        let kind = match parts.peek() {
+            Some(&"+") if signed => {
+                parts.next();
+                OpKind::Insert
+            }
+            Some(&"-") if signed => {
+                parts.next();
+                OpKind::Delete
+            }
+            _ => OpKind::Insert,
+        };
         let parse = |s: Option<&str>| -> Option<u64> { s.and_then(|x| x.parse().ok()) };
         match (parse(parts.next()), parse(parts.next())) {
-            (Some(a), Some(b)) => {
-                batch.push((a, b));
+            (Some(u), Some(v)) => {
+                batch.push(EdgeOp { kind, u, v });
                 if batch.len() == batch_size {
                     out.write_chunk(&batch)?;
                     batch.clear();
@@ -489,14 +518,15 @@ pub fn pack_edge_list<R: BufRead, W: Write>(
     if !batch.is_empty() {
         out.write_chunk(&batch)?;
     }
-    let (chunks, edges) = out.finish()?;
-    Ok(PackSummary { chunks, edges })
+    let (chunks, records) = out.finish()?;
+    Ok(PackSummary { chunks, records })
 }
 
-/// Reads the *framing* of a binary chunk stream: validates the file header
-/// and splits the stream into per-chunk payload byte buffers without decoding
-/// any edges. This is the sequential part of ingestion; the payloads are
-/// independently decodable with [`decode_edge_chunk`], which is what the
+/// Reads the *framing* of a binary chunk stream of either format version:
+/// validates the file header and splits the stream into per-chunk payload
+/// byte buffers without decoding any records. This is the sequential part of
+/// ingestion; each payload is independently decodable with
+/// [`decode_op_chunk`] given the returned version, which is what the
 /// executor-driven fan-out in `wcc_mpc::stream` parallelises over.
 ///
 /// # Errors
@@ -504,27 +534,9 @@ pub fn pack_edge_list<R: BufRead, W: Write>(
 /// [`IoError::BadMagic`] / [`IoError::UnsupportedVersion`] for a bad file
 /// header, [`IoError::Truncated`] when the stream ends mid-header or
 /// mid-payload, [`IoError::Corrupt`] for a payload length that is not a whole
-/// number of edges, and [`IoError::Io`] for underlying read failures.
-pub fn read_chunk_frames<R: Read>(reader: R) -> Result<Vec<Vec<u8>>, IoError> {
-    read_frames_impl(reader, &[CHUNK_FORMAT_VERSION]).map(|(_, frames)| frames)
-}
-
-/// Record size (in bytes) of each accepted format version.
-fn record_bytes_for(version: u32) -> usize {
-    match version {
-        CHUNK_FORMAT_VERSION => CHUNK_BYTES_PER_EDGE,
-        CHUNK_FORMAT_VERSION_V2 => CHUNK_BYTES_PER_OP,
-        other => unreachable!("version {other} filtered by the accept list"),
-    }
-}
-
-/// The shared framing reader: validates the header against `accepted`
-/// versions and splits the stream into payload buffers, checking each
-/// advertised length against the version's record size.
-fn read_frames_impl<R: Read>(
-    mut reader: R,
-    accepted: &[u32],
-) -> Result<(u32, Vec<Vec<u8>>), IoError> {
+/// number of the version's records, and [`IoError::Io`] for underlying read
+/// failures.
+pub fn read_op_chunk_frames<R: Read>(mut reader: R) -> Result<(u32, Vec<Vec<u8>>), IoError> {
     let mut header = [0u8; 8];
     let got = read_up_to(&mut reader, &mut header)?;
     if got < header.len() {
@@ -538,10 +550,7 @@ fn read_frames_impl<R: Read>(
         return Err(IoError::BadMagic);
     }
     let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if !accepted.contains(&version) {
-        return Err(IoError::UnsupportedVersion { version });
-    }
-    let record_bytes = record_bytes_for(version);
+    let record_bytes = record_size(version).ok_or(IoError::UnsupportedVersion { version })?;
 
     let mut frames: Vec<Vec<u8>> = Vec::new();
     loop {
@@ -581,296 +590,61 @@ fn read_frames_impl<R: Read>(
     Ok((version, frames))
 }
 
-/// Reads the framing of a turnstile (or legacy insert-only) chunk stream:
-/// accepts format versions 1 and 2, returning the version alongside the
-/// per-chunk payload buffers so callers can hand each `(version, payload)`
-/// pair to [`decode_op_chunk`] — in parallel if they like.
-///
-/// # Errors
-///
-/// Same classes as [`read_chunk_frames`]; the multiple-of check uses the
-/// version's record size ([`CHUNK_BYTES_PER_EDGE`] for version 1,
-/// [`CHUNK_BYTES_PER_OP`] for version 2).
-pub fn read_op_chunk_frames<R: Read>(reader: R) -> Result<(u32, Vec<Vec<u8>>), IoError> {
-    read_frames_impl(reader, &[CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2])
-}
-
-/// Decodes one chunk payload (as framed by [`read_chunk_frames`]) into its
-/// edge list. Pure function of the bytes — safe to fan out over chunks in
-/// parallel. `chunk` is the chunk's index, used only for error reporting.
-///
-/// # Errors
-///
-/// Returns [`IoError::Corrupt`] if the payload is not a whole number of
-/// 16-byte edges.
-pub fn decode_edge_chunk(chunk: usize, payload: &[u8]) -> Result<Vec<(u64, u64)>, IoError> {
-    if !payload.len().is_multiple_of(CHUNK_BYTES_PER_EDGE) {
-        return Err(IoError::Corrupt {
-            chunk,
-            reason: format!(
-                "payload of {} bytes is not a multiple of {CHUNK_BYTES_PER_EDGE}",
-                payload.len()
-            ),
-        });
-    }
-    let mut edges = Vec::with_capacity(payload.len() / CHUNK_BYTES_PER_EDGE);
-    for pair in payload.chunks_exact(CHUNK_BYTES_PER_EDGE) {
-        let u = u64::from_le_bytes(pair[0..8].try_into().expect("8 bytes"));
-        let v = u64::from_le_bytes(pair[8..16].try_into().expect("8 bytes"));
-        edges.push((u, v));
-    }
-    Ok(edges)
-}
-
-/// Reads a whole binary chunk stream sequentially: [`read_chunk_frames`]
-/// followed by [`decode_edge_chunk`] on every frame, in order. (The parallel
-/// variant lives in `wcc_mpc::stream`, which fans the decode out through an
-/// `Executor`.)
-///
-/// # Errors
-///
-/// See [`read_chunk_frames`] and [`decode_edge_chunk`].
-pub fn read_edge_chunks<R: Read>(reader: R) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    read_chunk_frames(reader)?
-        .iter()
-        .enumerate()
-        .map(|(i, frame)| decode_edge_chunk(i, frame))
-        .collect()
-}
-
-/// Reads a binary chunk stream from a file path.
-///
-/// # Errors
-///
-/// See [`read_edge_chunks`].
-pub fn read_edge_chunks_file(path: &std::path::Path) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    read_edge_chunks(std::io::BufReader::new(std::fs::File::open(path)?))
-}
-
 /// Decodes one chunk payload (as framed by [`read_op_chunk_frames`]) into its
 /// op list. Pure function of `(version, bytes)` — safe to fan out over chunks
-/// in parallel. A version-1 payload decodes to all-insert ops carrying
-/// exactly the edges [`decode_edge_chunk`] would return; a version-2 payload
-/// is 17-byte records whose op tag must be [`OP_TAG_INSERT`] or
-/// [`OP_TAG_DELETE`]. `chunk` is the chunk's index, used only for error
-/// reporting.
+/// in parallel. A version-1 payload is 16-byte records that each decode to
+/// an insertion; a version-2 payload is 17-byte records whose op tag must be
+/// [`OP_TAG_INSERT`] or [`OP_TAG_DELETE`]. `chunk` is the chunk's index, used
+/// only for error reporting.
 ///
 /// # Errors
 ///
 /// [`IoError::Corrupt`] if the payload is not a whole number of records, the
 /// version is not 1 or 2, or a record carries an unknown op tag.
 pub fn decode_op_chunk(version: u32, chunk: usize, payload: &[u8]) -> Result<Vec<EdgeOp>, IoError> {
-    match version {
-        CHUNK_FORMAT_VERSION => Ok(decode_edge_chunk(chunk, payload)?
-            .into_iter()
-            .map(|(u, v)| EdgeOp::insert(u, v))
-            .collect()),
-        CHUNK_FORMAT_VERSION_V2 => {
-            if !payload.len().is_multiple_of(CHUNK_BYTES_PER_OP) {
-                return Err(IoError::Corrupt {
-                    chunk,
-                    reason: format!(
-                        "payload of {} bytes is not a multiple of {CHUNK_BYTES_PER_OP}",
-                        payload.len()
-                    ),
-                });
-            }
-            let mut ops = Vec::with_capacity(payload.len() / CHUNK_BYTES_PER_OP);
-            for (record, bytes) in payload.chunks_exact(CHUNK_BYTES_PER_OP).enumerate() {
-                let kind = match bytes[0] {
-                    OP_TAG_INSERT => OpKind::Insert,
-                    OP_TAG_DELETE => OpKind::Delete,
-                    tag => {
-                        return Err(IoError::Corrupt {
-                            chunk,
-                            reason: format!("unknown op tag {tag} in record {record}"),
-                        })
-                    }
-                };
-                let u = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
-                let v = u64::from_le_bytes(bytes[9..17].try_into().expect("8 bytes"));
-                ops.push(EdgeOp { kind, u, v });
-            }
-            Ok(ops)
-        }
-        other => Err(IoError::Corrupt {
+    let Some(record_bytes) = record_size(version) else {
+        return Err(IoError::Corrupt {
             chunk,
-            reason: format!("cannot decode ops for format version {other}"),
-        }),
+            reason: format!("cannot decode ops for format version {version}"),
+        });
+    };
+    if !payload.len().is_multiple_of(record_bytes) {
+        return Err(IoError::Corrupt {
+            chunk,
+            reason: format!(
+                "payload of {} bytes is not a multiple of {record_bytes}",
+                payload.len()
+            ),
+        });
     }
-}
-
-/// Writes a sequence of op batches as a version-2 binary chunk stream. One
-/// chunk per batch; vertex ids are written raw.
-///
-/// # Errors
-///
-/// Returns any I/O error from the writer.
-pub fn write_op_chunks<W: Write, C: AsRef<[EdgeOp]>>(
-    chunks: &[C],
-    writer: W,
-) -> std::io::Result<()> {
-    let mut out = OpChunkWriter::new(writer)?;
-    for chunk in chunks {
-        out.write_chunk(chunk.as_ref())?;
-    }
-    out.finish().map(|_| ())
-}
-
-/// Writes a version-2 binary chunk stream to a file path.
-///
-/// # Errors
-///
-/// See [`write_op_chunks`].
-pub fn write_op_chunks_file<C: AsRef<[EdgeOp]>>(
-    chunks: &[C],
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    write_op_chunks(chunks, std::fs::File::create(path)?)
-}
-
-/// Incremental writer for the version-2 (turnstile) chunk stream — the op
-/// counterpart of [`ChunkWriter`], with the same bounded-memory contract:
-/// byte-for-byte identical output to [`write_op_chunks`] fed the same
-/// batches.
-#[derive(Debug)]
-pub struct OpChunkWriter<W: Write> {
-    out: BufWriter<W>,
-    chunks_written: usize,
-    ops_written: u64,
-}
-
-impl<W: Write> OpChunkWriter<W> {
-    /// Starts a version-2 chunk stream: writes the magic + version header.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn new(writer: W) -> std::io::Result<Self> {
-        let mut out = BufWriter::new(writer);
-        out.write_all(&CHUNK_MAGIC)?;
-        out.write_all(&CHUNK_FORMAT_VERSION_V2.to_le_bytes())?;
-        Ok(OpChunkWriter {
-            out,
-            chunks_written: 0,
-            ops_written: 0,
-        })
-    }
-
-    /// Appends one chunk (one batch of raw-id ops, written verbatim).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_chunk(&mut self, ops: &[EdgeOp]) -> std::io::Result<()> {
-        let payload_len = (ops.len() as u64) * CHUNK_BYTES_PER_OP as u64;
-        self.out.write_all(&payload_len.to_le_bytes())?;
-        for op in ops {
-            self.out.write_all(&[op.tag()])?;
-            self.out.write_all(&op.u.to_le_bytes())?;
-            self.out.write_all(&op.v.to_le_bytes())?;
-        }
-        self.chunks_written += 1;
-        self.ops_written += ops.len() as u64;
-        Ok(())
-    }
-
-    /// Chunks appended so far.
-    pub fn chunks_written(&self) -> usize {
-        self.chunks_written
-    }
-
-    /// Ops appended so far.
-    pub fn ops_written(&self) -> u64 {
-        self.ops_written
-    }
-
-    /// Flushes and returns `(chunks, ops)` written.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the final flush.
-    pub fn finish(mut self) -> std::io::Result<(usize, u64)> {
-        self.out.flush()?;
-        Ok((self.chunks_written, self.ops_written))
-    }
-}
-
-/// Streams a text op list into the version-2 chunk format with bounded
-/// memory — the turnstile counterpart of [`pack_edge_list`]. Line grammar:
-///
-/// * `u v` or `+ u v` — insert edge `{u, v}`;
-/// * `- u v` — delete edge `{u, v}`;
-/// * `#`/`%` comments and blank lines are skipped.
-///
-/// # Errors
-///
-/// [`IoError::Parse`] (with the 1-based line number) on a malformed line,
-/// [`IoError::Io`] on read/write failures.
-///
-/// # Panics
-///
-/// Panics if `batch_size` is zero.
-pub fn pack_op_list<R: BufRead, W: Write>(
-    mut reader: R,
-    writer: W,
-    batch_size: usize,
-) -> Result<PackSummary, IoError> {
-    assert!(batch_size > 0, "batch_size must be at least 1");
-    let mut out = OpChunkWriter::new(writer)?;
-    let mut batch: Vec<EdgeOp> = Vec::with_capacity(batch_size.min(1 << 20));
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace().peekable();
-        let kind = match parts.peek() {
-            Some(&"+") => {
-                parts.next();
-                OpKind::Insert
-            }
-            Some(&"-") => {
-                parts.next();
-                OpKind::Delete
-            }
-            _ => OpKind::Insert,
-        };
-        let parse = |s: Option<&str>| -> Option<u64> { s.and_then(|x| x.parse().ok()) };
-        match (parse(parts.next()), parse(parts.next())) {
-            (Some(u), Some(v)) => {
-                batch.push(EdgeOp { kind, u, v });
-                if batch.len() == batch_size {
-                    out.write_chunk(&batch)?;
-                    batch.clear();
+    let tagged = version == CHUNK_FORMAT_VERSION_V2;
+    let mut ops = Vec::with_capacity(payload.len() / record_bytes);
+    for (record, bytes) in payload.chunks_exact(record_bytes).enumerate() {
+        let (kind, ids) = if tagged {
+            let kind = match bytes[0] {
+                OP_TAG_INSERT => OpKind::Insert,
+                OP_TAG_DELETE => OpKind::Delete,
+                tag => {
+                    return Err(IoError::Corrupt {
+                        chunk,
+                        reason: format!("unknown op tag {tag} in record {record}"),
+                    })
                 }
-            }
-            _ => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    content: trimmed.to_string(),
-                })
-            }
-        }
+            };
+            (kind, &bytes[1..])
+        } else {
+            (OpKind::Insert, bytes)
+        };
+        let u = u64::from_le_bytes(ids[0..8].try_into().expect("8 bytes"));
+        let v = u64::from_le_bytes(ids[8..16].try_into().expect("8 bytes"));
+        ops.push(EdgeOp { kind, u, v });
     }
-    if !batch.is_empty() {
-        out.write_chunk(&batch)?;
-    }
-    let (chunks, ops) = out.finish()?;
-    Ok(PackSummary { chunks, edges: ops })
+    Ok(ops)
 }
 
-/// Reads a whole turnstile chunk stream sequentially: [`read_op_chunk_frames`]
-/// followed by [`decode_op_chunk`] on every frame, in order. Accepts format
-/// versions 1 (decoded as all-insert ops) and 2. (The parallel variant lives
-/// in `wcc_mpc::stream`.)
+/// Reads a whole chunk stream sequentially: [`read_op_chunk_frames`]
+/// followed by [`decode_op_chunk`] on every frame, in order. (The parallel
+/// variant lives in `wcc_mpc::stream`.)
 ///
 /// # Errors
 ///
@@ -884,7 +658,7 @@ pub fn read_op_chunks<R: Read>(reader: R) -> Result<Vec<Vec<EdgeOp>>, IoError> {
         .collect()
 }
 
-/// Reads a turnstile chunk stream from a file path.
+/// Reads a chunk stream of either version from a file path.
 ///
 /// # Errors
 ///
@@ -1035,134 +809,220 @@ mod tests {
         assert!(matches!(err, IoError::Io(_)), "got {err}");
     }
 
-    // --- binary chunk format --------------------------------------------
+    // --- binary chunk format (both versions) -----------------------------
+
+    const VERSIONS: [u32; 2] = [CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2];
+
+    fn encode(version: u32, chunks: &[Vec<EdgeOp>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut writer = ChunkWriter::new(&mut buf, version).unwrap();
+        for chunk in chunks {
+            writer.write_chunk(chunk).unwrap();
+        }
+        writer.finish().unwrap();
+        buf
+    }
+
+    /// Three batches, one empty and one with extreme ids; version 2 mixes in
+    /// deletions, version 1 draws insertions only.
+    fn sample_chunks(version: u32) -> Vec<Vec<EdgeOp>> {
+        let del = |u, v| {
+            if version == CHUNK_FORMAT_VERSION_V2 {
+                EdgeOp::delete(u, v)
+            } else {
+                EdgeOp::insert(u, v)
+            }
+        };
+        vec![
+            vec![EdgeOp::insert(0, 1), del(1, 2), EdgeOp::insert(2, 0)],
+            vec![],
+            vec![EdgeOp::insert(u64::MAX, 0), del(7, 7)],
+        ]
+    }
 
     #[test]
     fn chunk_round_trip_preserves_batches_exactly() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 1), (1, 2), (2, 0)],
-            vec![],
-            vec![(u64::MAX, 0), (7, 7)],
-        ];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8 + 3 * 8 + 5 * CHUNK_BYTES_PER_EDGE);
-        let back = read_edge_chunks(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back, chunks);
+        for version in VERSIONS {
+            let chunks = sample_chunks(version);
+            let buf = encode(version, &chunks);
+            assert_eq!(buf.len(), 8 + 3 * 8 + 5 * record_size(version).unwrap());
+            let back = read_op_chunks(std::io::Cursor::new(buf)).unwrap();
+            assert_eq!(back, chunks, "version {version}");
+        }
     }
 
     #[test]
     fn empty_chunk_stream_round_trips() {
-        let chunks: Vec<Vec<(u64, u64)>> = Vec::new();
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8); // header only
-        assert!(read_edge_chunks(std::io::Cursor::new(buf))
-            .unwrap()
-            .is_empty());
+        for version in VERSIONS {
+            let buf = encode(version, &[]);
+            assert_eq!(buf.len(), 8); // header only
+            assert!(read_op_chunks(std::io::Cursor::new(buf))
+                .unwrap()
+                .is_empty());
+        }
     }
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
         let err =
-            read_edge_chunks(std::io::Cursor::new(b"NOPE\x01\x00\x00\x00".to_vec())).unwrap_err();
+            read_op_chunks(std::io::Cursor::new(b"NOPE\x01\x00\x00\x00".to_vec())).unwrap_err();
         assert!(matches!(err, IoError::BadMagic), "got {err}");
 
-        let mut versioned = CHUNK_MAGIC.to_vec();
-        versioned.extend_from_slice(&99u32.to_le_bytes());
-        let err = read_edge_chunks(std::io::Cursor::new(versioned)).unwrap_err();
-        assert!(
-            matches!(err, IoError::UnsupportedVersion { version: 99 }),
-            "got {err}"
-        );
+        for bad in [0u32, 3, 99] {
+            let mut versioned = CHUNK_MAGIC.to_vec();
+            versioned.extend_from_slice(&bad.to_le_bytes());
+            let err = read_op_chunks(std::io::Cursor::new(versioned)).unwrap_err();
+            assert!(
+                matches!(err, IoError::UnsupportedVersion { version } if version == bad),
+                "got {err}"
+            );
+        }
     }
 
     #[test]
     fn truncation_anywhere_is_an_error_not_a_panic() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2), (3, 4)], vec![(5, 6)]];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        // Every proper prefix that is not a chunk boundary must error; the
-        // boundaries themselves (header end, after chunk 0, after chunk 1)
-        // are clean EOFs.
-        let boundaries = [8, 8 + 8 + 32, buf.len()];
-        for cut in 0..buf.len() {
-            let result = read_edge_chunks(std::io::Cursor::new(buf[..cut].to_vec()));
-            if boundaries.contains(&cut) {
-                assert!(result.is_ok(), "cut at {cut} should be a clean boundary");
-            } else {
+        for version in VERSIONS {
+            let chunks = vec![
+                vec![EdgeOp::insert(1, 2), EdgeOp::insert(3, 4)],
+                vec![EdgeOp::insert(5, 6)],
+            ];
+            let buf = encode(version, &chunks);
+            // Every proper prefix that is not a chunk boundary must error;
+            // the boundaries themselves (header end, after chunk 0, after
+            // chunk 1) are clean EOFs.
+            let boundaries = [8, 8 + 8 + 2 * record_size(version).unwrap(), buf.len()];
+            for cut in 0..buf.len() {
+                let result = read_op_chunks(std::io::Cursor::new(buf[..cut].to_vec()));
+                if boundaries.contains(&cut) {
+                    assert!(
+                        result.is_ok(),
+                        "v{version}: cut at {cut} is a clean boundary"
+                    );
+                } else {
+                    assert!(
+                        matches!(result, Err(IoError::Truncated { .. })),
+                        "v{version}: cut at {cut} should be Truncated"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The whole-record check uses the stream's own record size: a payload
+    /// sized for the other version is as corrupt as a ragged one.
+    #[test]
+    fn non_edge_aligned_payload_length_is_corrupt() {
+        for (version, other) in [(1u32, 2), (2, 1)] {
+            for len in [15, record_size(other).unwrap()] {
+                let mut buf = CHUNK_MAGIC.to_vec();
+                buf.extend_from_slice(&version.to_le_bytes());
+                buf.extend_from_slice(&(len as u64).to_le_bytes());
+                buf.extend_from_slice(&vec![0u8; len]);
+                let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
                 assert!(
-                    matches!(result, Err(IoError::Truncated { .. })),
-                    "cut at {cut} should be Truncated"
+                    matches!(err, IoError::Corrupt { chunk: 0, .. }),
+                    "v{version}, {len}-byte payload: got {err}"
                 );
             }
         }
     }
 
     #[test]
-    fn non_edge_aligned_payload_length_is_corrupt() {
-        let mut buf = CHUNK_MAGIC.to_vec();
-        buf.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&15u64.to_le_bytes()); // not a multiple of 16
-        buf.extend_from_slice(&[0u8; 15]);
-        let err = read_edge_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(err, IoError::Corrupt { chunk: 0, .. }),
-            "got {err}"
-        );
-    }
-
-    #[test]
     fn absurd_advertised_length_fails_without_allocating_it() {
-        let mut buf = CHUNK_MAGIC.to_vec();
-        buf.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
-        // Advertise ~2^60 bytes (a multiple of 16), supply none.
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        let err = read_edge_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                IoError::Truncated {
-                    chunk: 0,
-                    got_bytes: 0,
-                    ..
-                }
-            ),
-            "got {err}"
-        );
+        for version in VERSIONS {
+            let mut buf = CHUNK_MAGIC.to_vec();
+            buf.extend_from_slice(&version.to_le_bytes());
+            // Advertise ~2^60 bytes (a whole number of records), supply none.
+            let absurd = (record_size(version).unwrap() as u64) << 56;
+            buf.extend_from_slice(&absurd.to_le_bytes());
+            let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    IoError::Truncated {
+                        chunk: 0,
+                        got_bytes: 0,
+                        ..
+                    }
+                ),
+                "v{version}: got {err}"
+            );
+        }
     }
 
     #[test]
-    fn decode_edge_chunk_matches_the_framed_reader() {
-        let chunks = vec![vec![(10u64, 20u64), (30, 40)]];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        let frames = read_chunk_frames(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(decode_edge_chunk(0, &frames[0]).unwrap(), chunks[0]);
-        // A mis-sized payload handed straight to the decoder also errors.
+    fn decode_op_chunk_matches_the_framed_reader() {
+        for version in VERSIONS {
+            let chunks = vec![vec![EdgeOp::insert(10, 20), EdgeOp::insert(30, 40)]];
+            let buf = encode(version, &chunks);
+            let (read_version, frames) = read_op_chunk_frames(std::io::Cursor::new(buf)).unwrap();
+            assert_eq!(read_version, version);
+            assert_eq!(frames.len(), 1);
+            assert_eq!(decode_op_chunk(version, 0, &frames[0]).unwrap(), chunks[0]);
+            // A mis-sized payload handed straight to the decoder also errors.
+            assert!(matches!(
+                decode_op_chunk(version, 3, &frames[0][..15]),
+                Err(IoError::Corrupt { chunk: 3, .. })
+            ));
+        }
         assert!(matches!(
-            decode_edge_chunk(3, &frames[0][..15]),
-            Err(IoError::Corrupt { chunk: 3, .. })
+            decode_op_chunk(3, 5, &[]),
+            Err(IoError::Corrupt { chunk: 5, .. })
         ));
     }
 
     #[test]
     fn chunk_writer_matches_the_batch_writer_byte_for_byte() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 1), (1, 2), (2, 0)],
-            vec![],
-            vec![(u64::MAX, 0), (7, 7)],
-        ];
+        let chunks = sample_chunks(CHUNK_FORMAT_VERSION_V2);
         let mut batched = Vec::new();
-        write_edge_chunks(&chunks, &mut batched).unwrap();
-        let mut streamed = Vec::new();
-        let mut writer = ChunkWriter::new(&mut streamed).unwrap();
-        for chunk in &chunks {
-            writer.write_chunk(chunk).unwrap();
+        write_op_chunks(&chunks, &mut batched).unwrap();
+        assert_eq!(encode(CHUNK_FORMAT_VERSION_V2, &chunks), batched);
+
+        // The record layout of each version, byte by byte.
+        let mut expect_v1 = b"WCCS\x01\x00\x00\x00".to_vec();
+        expect_v1.extend_from_slice(&16u64.to_le_bytes());
+        expect_v1.extend_from_slice(&1u64.to_le_bytes());
+        expect_v1.extend_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            encode(CHUNK_FORMAT_VERSION, &[vec![EdgeOp::insert(1, 2)]]),
+            expect_v1
+        );
+        let mut expect_v2 = b"WCCS\x02\x00\x00\x00".to_vec();
+        expect_v2.extend_from_slice(&17u64.to_le_bytes());
+        expect_v2.push(OP_TAG_DELETE);
+        expect_v2.extend_from_slice(&1u64.to_le_bytes());
+        expect_v2.extend_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            encode(CHUNK_FORMAT_VERSION_V2, &[vec![EdgeOp::delete(1, 2)]]),
+            expect_v2
+        );
+
+        for version in VERSIONS {
+            let mut writer = ChunkWriter::new(Vec::new(), version).unwrap();
+            for chunk in sample_chunks(version) {
+                writer.write_chunk(&chunk).unwrap();
+            }
+            assert_eq!(writer.finish().unwrap(), (3, 5));
         }
-        assert_eq!(writer.finish().unwrap(), (3, 5));
-        assert_eq!(streamed, batched);
+    }
+
+    #[test]
+    fn chunk_writer_refuses_deletions_in_a_version_1_stream() {
+        let accepted = vec![EdgeOp::insert(1, 2)];
+        let mut out = Vec::new();
+        let mut writer = ChunkWriter::new(&mut out, CHUNK_FORMAT_VERSION).unwrap();
+        writer.write_chunk(&accepted).unwrap();
+        let err = writer
+            .write_chunk(&[EdgeOp::insert(3, 4), EdgeOp::delete(1, 2)])
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        // Nothing of the refused chunk reached the stream, not even its
+        // length header.
+        assert_eq!(writer.finish().unwrap(), (1, 1));
+        assert_eq!(out, encode(CHUNK_FORMAT_VERSION, &[accepted]));
+
+        let err = ChunkWriter::new(Vec::new(), 3).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -1181,115 +1041,97 @@ mod tests {
             let mut it = t.split_whitespace();
             let u: u64 = it.next().unwrap().parse().unwrap();
             let v: u64 = it.next().unwrap().parse().unwrap();
-            raw.push((u, v));
+            raw.push(EdgeOp::insert(u, v));
         }
-        let reference_chunks: Vec<&[(u64, u64)]> = raw.chunks(batch_size).collect();
-        let mut reference = Vec::new();
-        write_edge_chunks(&reference_chunks, &mut reference).unwrap();
+        let reference_chunks: Vec<Vec<EdgeOp>> =
+            raw.chunks(batch_size).map(<[EdgeOp]>::to_vec).collect();
 
-        let mut streamed = Vec::new();
-        let summary =
-            pack_edge_list(std::io::Cursor::new(text), &mut streamed, batch_size).unwrap();
-        assert_eq!(streamed, reference);
-        assert_eq!(
-            summary,
-            PackSummary {
-                chunks: 3,
-                edges: 7
-            }
-        );
+        for version in VERSIONS {
+            let mut streamed = Vec::new();
+            let summary = pack_op_list(
+                std::io::Cursor::new(text),
+                &mut streamed,
+                batch_size,
+                version,
+            )
+            .unwrap();
+            assert_eq!(streamed, encode(version, &reference_chunks));
+            assert_eq!(
+                summary,
+                PackSummary {
+                    chunks: 3,
+                    records: 7
+                }
+            );
 
-        // The packed stream decodes back to the same edge multiset, order
-        // preserved.
-        let decoded: Vec<(u64, u64)> = read_edge_chunks(std::io::Cursor::new(streamed))
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(decoded, raw);
+            // The packed stream decodes back to the same records, order
+            // preserved.
+            let decoded: Vec<EdgeOp> = read_op_chunks(std::io::Cursor::new(streamed))
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_eq!(decoded, raw);
+        }
     }
 
     #[test]
     fn streaming_pack_reports_parse_errors_with_line_numbers() {
-        let mut out = Vec::new();
-        let err = pack_edge_list(std::io::Cursor::new("1 2\nbroken\n"), &mut out, 4).unwrap_err();
-        match err {
-            IoError::Parse { line, content } => {
-                assert_eq!(line, 2);
-                assert_eq!(content, "broken");
+        for version in VERSIONS {
+            let mut out = Vec::new();
+            let err = pack_op_list(std::io::Cursor::new("1 2\nbroken\n"), &mut out, 4, version)
+                .unwrap_err();
+            match err {
+                IoError::Parse { line, content } => {
+                    assert_eq!(line, 2);
+                    assert_eq!(content, "broken");
+                }
+                other => panic!("expected a parse error, got {other}"),
             }
-            other => panic!("expected a parse error, got {other}"),
         }
     }
 
     #[test]
     fn streaming_pack_of_empty_input_writes_a_header_only_stream() {
-        let mut out = Vec::new();
-        let summary =
-            pack_edge_list(std::io::Cursor::new("# only comments\n"), &mut out, 4).unwrap();
-        assert_eq!(
-            summary,
-            PackSummary {
-                chunks: 0,
-                edges: 0
-            }
-        );
-        assert!(read_edge_chunks(std::io::Cursor::new(out))
-            .unwrap()
-            .is_empty());
-    }
-
-    // --- version-2 (turnstile) chunk format ------------------------------
-
-    #[test]
-    fn op_chunk_round_trip_preserves_batches_exactly() {
-        let chunks: Vec<Vec<EdgeOp>> = vec![
-            vec![EdgeOp::insert(0, 1), EdgeOp::delete(1, 2)],
-            vec![],
-            vec![
-                EdgeOp::insert(u64::MAX, 0),
-                EdgeOp::delete(7, 7),
-                EdgeOp::insert(7, 7),
-            ],
-        ];
-        let mut buf = Vec::new();
-        write_op_chunks(&chunks, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8 + 3 * 8 + 5 * CHUNK_BYTES_PER_OP);
-        let back = read_op_chunks(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back, chunks);
-    }
-
-    #[test]
-    fn v1_streams_decode_through_the_op_reader_as_inserts() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2), (3, 4)], vec![], vec![(5, 6)]];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        let (version, frames) = read_op_chunk_frames(std::io::Cursor::new(buf.clone())).unwrap();
-        assert_eq!(version, CHUNK_FORMAT_VERSION);
-        let legacy_frames = read_chunk_frames(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(frames, legacy_frames, "framing must be byte-identical");
-        for (i, frame) in frames.iter().enumerate() {
-            let ops = decode_op_chunk(version, i, frame).unwrap();
-            let edges: Vec<(u64, u64)> = ops
-                .iter()
-                .map(|op| {
-                    assert_eq!(op.kind, OpKind::Insert);
-                    (op.u, op.v)
-                })
-                .collect();
-            assert_eq!(edges, chunks[i]);
+        for version in VERSIONS {
+            let mut out = Vec::new();
+            let summary = pack_op_list(
+                std::io::Cursor::new("# only comments\n"),
+                &mut out,
+                4,
+                version,
+            )
+            .unwrap();
+            assert_eq!(
+                summary,
+                PackSummary {
+                    chunks: 0,
+                    records: 0
+                }
+            );
+            assert_eq!(out, encode(version, &[]));
         }
     }
 
     #[test]
-    fn v1_readers_keep_rejecting_v2_streams() {
-        let mut buf = Vec::new();
-        write_op_chunks(&[vec![EdgeOp::insert(1, 2)]], &mut buf).unwrap();
-        let err = read_edge_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(err, IoError::UnsupportedVersion { version: 2 }),
-            "got {err}"
-        );
+    fn v1_streams_decode_through_the_op_reader_as_inserts() {
+        // The same insertions written in both versions decode to the same
+        // op batches: a version-1 record is an insertion.
+        let chunks = vec![
+            vec![EdgeOp::insert(1, 2), EdgeOp::insert(3, 4)],
+            vec![],
+            vec![EdgeOp::insert(5, 6)],
+        ];
+        let v1 = encode(CHUNK_FORMAT_VERSION, &chunks);
+        let v2 = encode(CHUNK_FORMAT_VERSION_V2, &chunks);
+        assert_ne!(v1, v2);
+        let (version, frames) = read_op_chunk_frames(std::io::Cursor::new(&v1)).unwrap();
+        assert_eq!(version, CHUNK_FORMAT_VERSION);
+        assert_eq!(frames.len(), 3);
+        let decoded = read_op_chunks(std::io::Cursor::new(v1)).unwrap();
+        assert!(decoded.iter().flatten().all(|op| op.kind == OpKind::Insert));
+        assert_eq!(decoded, chunks);
+        assert_eq!(read_op_chunks(std::io::Cursor::new(v2)).unwrap(), decoded);
     }
 
     #[test]
@@ -1312,46 +1154,22 @@ mod tests {
     }
 
     #[test]
-    fn v2_payload_lengths_are_checked_against_the_op_record_size() {
-        let mut buf = CHUNK_MAGIC.to_vec();
-        buf.extend_from_slice(&CHUNK_FORMAT_VERSION_V2.to_le_bytes());
-        buf.extend_from_slice(&16u64.to_le_bytes()); // multiple of 16, not 17
-        buf.extend_from_slice(&[0u8; 16]);
-        let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(err, IoError::Corrupt { chunk: 0, .. }),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    fn op_chunk_writer_matches_the_batch_writer_byte_for_byte() {
-        let chunks: Vec<Vec<EdgeOp>> = vec![
-            vec![EdgeOp::insert(0, 1)],
-            vec![],
-            vec![EdgeOp::delete(0, 1), EdgeOp::insert(9, 9)],
-        ];
-        let mut batched = Vec::new();
-        write_op_chunks(&chunks, &mut batched).unwrap();
-        let mut streamed = Vec::new();
-        let mut writer = OpChunkWriter::new(&mut streamed).unwrap();
-        for chunk in &chunks {
-            writer.write_chunk(chunk).unwrap();
-        }
-        assert_eq!(writer.finish().unwrap(), (3, 3));
-        assert_eq!(streamed, batched);
-    }
-
-    #[test]
     fn pack_op_list_grammar_and_batching() {
         let text = "# ops\n5 6\n+ 6 7\n- 5 6\n% comment\n7 8\n- 6 7\n";
         let mut buf = Vec::new();
-        let summary = pack_op_list(std::io::Cursor::new(text), &mut buf, 2).unwrap();
+        let summary = pack_op_list(
+            std::io::Cursor::new(text),
+            &mut buf,
+            2,
+            CHUNK_FORMAT_VERSION_V2,
+        )
+        .unwrap();
+        // Deletions count as records.
         assert_eq!(
             summary,
             PackSummary {
                 chunks: 3,
-                edges: 5
+                records: 5
             }
         );
         let back = read_op_chunks(std::io::Cursor::new(buf)).unwrap();
@@ -1367,30 +1185,24 @@ mod tests {
 
     #[test]
     fn pack_op_list_rejects_malformed_lines() {
-        for bad in ["- 1\n", "+ a b\n", "-1 2 extra-is-ok\n"] {
-            let mut out = Vec::new();
-            let res = pack_op_list(std::io::Cursor::new(bad), &mut out, 4);
-            if bad.starts_with("-1") {
-                // "-1" is not the `-` token, and not a u64: parse error too.
-                assert!(matches!(res, Err(IoError::Parse { line: 1, .. })));
-            } else {
+        // "-1" is not the `-` token, and not a u64: a parse error too.
+        for version in VERSIONS {
+            for bad in ["- 1\n", "+ a b\n", "-1 2 extra-is-ok\n"] {
+                let res = pack_op_list(std::io::Cursor::new(bad), Vec::new(), 4, version);
                 assert!(
                     matches!(res, Err(IoError::Parse { line: 1, .. })),
-                    "input {bad:?} gave {res:?}"
+                    "v{version}: input {bad:?} gave {res:?}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn op_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("wcc_io_ops_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ops.wccs");
-        let chunks: Vec<Vec<EdgeOp>> = vec![vec![EdgeOp::insert(1, 2)], vec![EdgeOp::delete(1, 2)]];
-        write_op_chunks_file(&chunks, &path).unwrap();
-        assert_eq!(read_op_chunks_file(&path).unwrap(), chunks);
-        std::fs::remove_dir_all(&dir).ok();
+        // A version-1 stream is a plain edge list: signs do not parse.
+        for signed in ["+ 1 2\n", "- 1 2\n"] {
+            let res = pack_op_list(std::io::Cursor::new(signed), Vec::new(), 4, 1);
+            assert!(
+                matches!(res, Err(IoError::Parse { line: 1, .. })),
+                "input {signed:?} gave {res:?}"
+            );
+        }
     }
 
     #[test]
@@ -1398,10 +1210,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wcc_io_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("batches.wccs");
-        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2)], vec![(3, 4), (5, 6)]];
-        write_edge_chunks_file(&chunks, &path).unwrap();
-        let back = read_edge_chunks_file(&path).unwrap();
-        assert_eq!(back, chunks);
+        for version in VERSIONS {
+            let chunks = sample_chunks(version);
+            std::fs::write(&path, encode(version, &chunks)).unwrap();
+            assert_eq!(read_op_chunks_file(&path).unwrap(), chunks);
+        }
+        let chunks = sample_chunks(CHUNK_FORMAT_VERSION_V2);
+        write_op_chunks_file(&chunks, &path).unwrap();
+        assert_eq!(read_op_chunks_file(&path).unwrap(), chunks);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

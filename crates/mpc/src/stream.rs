@@ -1,76 +1,26 @@
-//! Executor-driven ingestion of binary edge-chunk streams.
+//! Executor-driven ingestion of binary `WCCS` chunk streams.
 //!
 //! The binary chunk format (`wcc_graph::io`, magic `WCCS`) frames a batch
 //! schedule as independently decodable payloads precisely so that a cluster
 //! can decode them in parallel: the sequential part of ingestion is only the
-//! framing scan ([`wcc_graph::io::read_chunk_frames`]), after which each
-//! payload is a pure function of its bytes. This module fans that decode out
-//! through an [`Executor`] — one work unit per chunk, results reassembled in
-//! chunk order, the first malformed chunk (in *chunk index* order, never in
-//! completion order) reported as the error. Both properties follow from
-//! [`Executor::map_items`]'s index-ordered fan-in, so the decode obeys the
-//! workspace determinism contract: bit-identical output and error selection
-//! for every thread count.
+//! framing scan ([`wcc_graph::io::read_op_chunk_frames`]), after which each
+//! payload is a pure function of its bytes and the stream's format version.
+//! This module fans that decode out through an [`Executor`] — one work unit
+//! per chunk, results reassembled in chunk order, the first malformed chunk
+//! (in *chunk index* order, never in completion order) reported as the
+//! error. Both properties follow from [`Executor::map_items`]'s index-ordered
+//! fan-in, so the decode obeys the workspace determinism contract:
+//! bit-identical output and error selection for every thread count.
 
 use crate::executor::Executor;
 
-use wcc_graph::io::{
-    decode_edge_chunk, decode_op_chunk, read_chunk_frames, read_op_chunk_frames, EdgeOp, IoError,
-};
+use wcc_graph::io::{decode_op_chunk, read_op_chunk_frames, EdgeOp, IoError};
 
-/// Decodes framed chunk payloads into edge batches in parallel, one work
-/// unit per chunk, via `exec`. Output order matches frame order; on failure
-/// the error for the lowest-indexed malformed chunk is returned regardless
-/// of the thread count.
-///
-/// # Errors
-///
-/// Returns the first (by chunk index) [`IoError`] produced by
-/// [`decode_edge_chunk`].
-pub fn decode_edge_chunks(
-    frames: &[Vec<u8>],
-    exec: &Executor,
-) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    exec.map_items(frames, |i, frame| decode_edge_chunk(i, frame))
-        .into_iter()
-        .collect()
-}
-
-/// Reads a whole binary chunk stream with parallel per-chunk decode:
-/// sequential framing, then [`decode_edge_chunks`] through `exec`.
-///
-/// # Errors
-///
-/// See [`wcc_graph::io::read_chunk_frames`] and [`decode_edge_chunks`].
-pub fn read_edge_chunks_parallel<R: std::io::Read>(
-    reader: R,
-    exec: &Executor,
-) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    let frames = read_chunk_frames(reader)?;
-    decode_edge_chunks(&frames, exec)
-}
-
-/// File-path convenience wrapper around [`read_edge_chunks_parallel`].
-///
-/// # Errors
-///
-/// See [`read_edge_chunks_parallel`].
-pub fn read_edge_chunks_file_parallel(
-    path: &std::path::Path,
-    exec: &Executor,
-) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    read_edge_chunks_parallel(
-        std::io::BufReader::new(std::fs::File::open(path).map_err(IoError::Io)?),
-        exec,
-    )
-}
-
-/// Decodes framed turnstile chunk payloads into op batches in parallel — the
-/// op-aware counterpart of [`decode_edge_chunks`], with the same determinism
-/// contract: output order matches frame order and the lowest-indexed
-/// malformed chunk wins error selection regardless of the thread count.
-/// `version` is the stream's format version as returned by
-/// [`wcc_graph::io::read_op_chunk_frames`]; version-1 payloads decode to
+/// Decodes framed chunk payloads into op batches in parallel, one work unit
+/// per chunk, via `exec`. Output order matches frame order; on failure the
+/// error for the lowest-indexed malformed chunk is returned regardless of
+/// the thread count. `version` is the stream's format version as returned
+/// by [`wcc_graph::io::read_op_chunk_frames`]; version-1 payloads decode to
 /// all-insert ops.
 ///
 /// # Errors
@@ -87,9 +37,9 @@ pub fn decode_op_chunks(
         .collect()
 }
 
-/// Reads a whole turnstile chunk stream (format version 1 or 2) with
-/// parallel per-chunk decode: sequential framing, then [`decode_op_chunks`]
-/// through `exec`.
+/// Reads a whole chunk stream (format version 1 or 2) with parallel
+/// per-chunk decode: sequential framing, then [`decode_op_chunks`] through
+/// `exec`.
 ///
 /// # Errors
 ///
@@ -120,117 +70,87 @@ pub fn read_op_chunks_file_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcc_graph::io::write_edge_chunks;
+    use wcc_graph::io::{ChunkWriter, CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2};
 
-    fn sample_chunks() -> Vec<Vec<(u64, u64)>> {
+    const VERSIONS: [u32; 2] = [CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2];
+
+    /// Twenty op batches of ragged sizes (some empty). Version 2 deletes
+    /// every third record; version 1 draws insertions only.
+    fn sample_chunks(version: u32) -> Vec<Vec<EdgeOp>> {
         (0..20u64)
-            .map(|c| (0..(c % 5) * 30).map(|i| (c * 1000 + i, i)).collect())
+            .map(|c| {
+                (0..(c % 5) * 30)
+                    .map(|i| {
+                        if version == CHUNK_FORMAT_VERSION_V2 && i % 3 == 0 {
+                            EdgeOp::delete(c, i)
+                        } else {
+                            EdgeOp::insert(c * 1000 + i, i)
+                        }
+                    })
+                    .collect()
+            })
             .collect()
+    }
+
+    fn encode(version: u32, chunks: &[Vec<EdgeOp>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut writer = ChunkWriter::new(&mut buf, version).unwrap();
+        for chunk in chunks {
+            writer.write_chunk(chunk).unwrap();
+        }
+        writer.finish().unwrap();
+        buf
     }
 
     #[test]
     fn parallel_decode_matches_sequential_for_every_thread_count() {
-        let chunks = sample_chunks();
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        let sequential = wcc_graph::io::read_edge_chunks(std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(sequential, chunks);
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::threaded(threads);
-            let parallel = read_edge_chunks_parallel(std::io::Cursor::new(&buf), &exec).unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
+        for version in VERSIONS {
+            let chunks = sample_chunks(version);
+            let buf = encode(version, &chunks);
+            let sequential = wcc_graph::io::read_op_chunks(std::io::Cursor::new(&buf)).unwrap();
+            assert_eq!(sequential, chunks);
+            for threads in [1usize, 2, 8] {
+                let exec = Executor::threaded(threads);
+                let parallel = read_op_chunks_parallel(std::io::Cursor::new(&buf), &exec).unwrap();
+                assert_eq!(parallel, sequential, "v{version}, threads={threads}");
+            }
         }
     }
 
     #[test]
     fn decode_error_selection_is_deterministic_across_thread_counts() {
-        // Frames 3 and 7 are malformed; the error must always name chunk 3.
-        let mut frames: Vec<Vec<u8>> = (0..10u64)
-            .map(|c| {
-                (0..4u64)
-                    .flat_map(|i| {
-                        let mut b = c.to_le_bytes().to_vec();
-                        b.extend_from_slice(&i.to_le_bytes());
-                        b
-                    })
-                    .collect()
-            })
-            .collect();
-        frames[3].pop();
-        frames[7].pop();
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::threaded(threads);
-            let err = decode_edge_chunks(&frames, &exec).unwrap_err();
-            assert!(
-                matches!(err, IoError::Corrupt { chunk: 3, .. }),
-                "threads={threads}: got {err}"
-            );
+        for version in VERSIONS {
+            let chunks: Vec<Vec<EdgeOp>> = (0..12u64)
+                .map(|c| (0..5).map(|i| EdgeOp::insert(c, i)).collect())
+                .collect();
+            let (_, mut frames) =
+                read_op_chunk_frames(std::io::Cursor::new(encode(version, &chunks))).unwrap();
+            // Frames 4 and 9 are malformed; the error must always name
+            // chunk 4. A version-1 frame loses its last byte, a version-2
+            // frame gets a bad op tag.
+            for bad in [4, 9] {
+                if version == CHUNK_FORMAT_VERSION_V2 {
+                    frames[bad][0] = 0xFF;
+                } else {
+                    frames[bad].pop();
+                }
+            }
+            for threads in [1usize, 2, 8] {
+                let exec = Executor::threaded(threads);
+                let err = decode_op_chunks(version, &frames, &exec).unwrap_err();
+                assert!(
+                    matches!(err, IoError::Corrupt { chunk: 4, .. }),
+                    "v{version}, threads={threads}: got {err}"
+                );
+            }
         }
     }
 
     #[test]
     fn empty_frame_list_decodes_to_nothing() {
         let exec = Executor::threaded(4);
-        assert!(decode_edge_chunks(&[], &exec).unwrap().is_empty());
-    }
-
-    #[test]
-    fn parallel_op_decode_matches_sequential_for_both_versions() {
-        use wcc_graph::io::write_op_chunks;
-        // v2 stream with mixed ops.
-        let ops: Vec<Vec<EdgeOp>> = (0..12u64)
-            .map(|c| {
-                (0..(c % 4) * 10)
-                    .map(|i| {
-                        if i % 3 == 0 {
-                            EdgeOp::delete(c, i)
-                        } else {
-                            EdgeOp::insert(c * 100 + i, i)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut v2 = Vec::new();
-        write_op_chunks(&ops, &mut v2).unwrap();
-        // v1 stream decoded through the op reader.
-        let chunks = sample_chunks();
-        let mut v1 = Vec::new();
-        write_edge_chunks(&chunks, &mut v1).unwrap();
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::threaded(threads);
-            let got = read_op_chunks_parallel(std::io::Cursor::new(&v2), &exec).unwrap();
-            assert_eq!(got, ops, "threads={threads}");
-            let got = read_op_chunks_parallel(std::io::Cursor::new(&v1), &exec).unwrap();
-            let expect: Vec<Vec<EdgeOp>> = chunks
-                .iter()
-                .map(|c| c.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect())
-                .collect();
-            assert_eq!(got, expect, "threads={threads} (v1 stream)");
-        }
-    }
-
-    #[test]
-    fn op_decode_error_selection_is_deterministic_across_thread_counts() {
-        use wcc_graph::io::{write_op_chunks, CHUNK_BYTES_PER_OP, CHUNK_FORMAT_VERSION_V2};
-        // Build valid v2 frames, then corrupt the op tags of frames 4 and 9.
-        let ops: Vec<Vec<EdgeOp>> = (0..12u64)
-            .map(|c| (0..5).map(|i| EdgeOp::insert(c, i)).collect())
-            .collect();
-        let mut buf = Vec::new();
-        write_op_chunks(&ops, &mut buf).unwrap();
-        let (version, mut frames) =
-            wcc_graph::io::read_op_chunk_frames(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(version, CHUNK_FORMAT_VERSION_V2);
-        frames[4][2 * CHUNK_BYTES_PER_OP] = 0xFF;
-        frames[9][0] = 0xFF;
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::threaded(threads);
-            let err = decode_op_chunks(version, &frames, &exec).unwrap_err();
-            assert!(
-                matches!(err, IoError::Corrupt { chunk: 4, .. }),
-                "threads={threads}: got {err}"
-            );
+        for version in VERSIONS {
+            assert!(decode_op_chunks(version, &[], &exec).unwrap().is_empty());
         }
     }
 }

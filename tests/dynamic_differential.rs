@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use wcc_core::stream::{BatchPath, IncrementalComponents, StreamParams};
 use wcc_core::{well_connected_components, Params};
 use wcc_graph::generators::GraphFamily;
-use wcc_graph::io::EdgeOp;
+use wcc_graph::io::{EdgeOp, CHUNK_FORMAT_VERSION};
 use wcc_graph::{connected_components, Graph};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -250,42 +250,114 @@ fn full_component_teardown_reaches_singletons_without_recompute() {
     assert_eq!(engine.splits(), 6, "7 singletons minted out of 1 component");
 }
 
-/// Version-1 streams must replay byte-identically through the op-aware
-/// reader: decoding `data/sample_batches.wccs` with the legacy edge reader
-/// and with the op reader must agree record for record, and both replays
-/// must produce the same partition and stats.
+fn sample_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("data")
+        .join(name)
+}
+
+/// The text oracle for the checked-in samples: `[+|-] u v` lines (a bare
+/// `u v` is an insertion), `#` comments skipped, cut into batches of
+/// `batch` ops — parsed here independently of `wcc_graph::io`.
+fn parse_text_schedule(name: &str, batch: usize) -> Vec<Vec<EdgeOp>> {
+    let text = std::fs::read_to_string(sample_path(name)).unwrap();
+    let ops: Vec<EdgeOp> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let tokens: Vec<&str> = l.split_whitespace().collect();
+            let (delete, ids) = match tokens[0] {
+                "-" => (true, &tokens[1..]),
+                "+" => (false, &tokens[1..]),
+                _ => (false, &tokens[..]),
+            };
+            let (u, v) = (ids[0].parse().unwrap(), ids[1].parse().unwrap());
+            if delete {
+                EdgeOp::delete(u, v)
+            } else {
+                EdgeOp::insert(u, v)
+            }
+        })
+        .collect();
+    ops.chunks(batch).map(<[EdgeOp]>::to_vec).collect()
+}
+
+/// Each checked-in binary sample is exactly its text source packed at its
+/// documented batch size: packing the text through the library reproduces
+/// the file byte for byte, and decoding the file gives the text's batches.
+#[test]
+fn checked_in_samples_match_their_text_sources() {
+    use wcc_graph::io::{pack_op_list, read_op_chunks_file, CHUNK_FORMAT_VERSION_V2};
+    for (text, binary, batch, version) in [
+        (
+            "sample_graph.txt",
+            "sample_batches.wccs",
+            6,
+            CHUNK_FORMAT_VERSION,
+        ),
+        (
+            "sample_ops.txt",
+            "sample_batches_v2.wccs",
+            7,
+            CHUNK_FORMAT_VERSION_V2,
+        ),
+    ] {
+        let source = std::io::BufReader::new(std::fs::File::open(sample_path(text)).unwrap());
+        let mut packed = Vec::new();
+        let summary = pack_op_list(source, &mut packed, batch, version).unwrap();
+        assert_eq!(
+            packed,
+            std::fs::read(sample_path(binary)).unwrap(),
+            "{binary}"
+        );
+
+        let oracle = parse_text_schedule(text, batch);
+        assert_eq!(summary.chunks, oracle.len());
+        assert_eq!(
+            summary.records as usize,
+            oracle.iter().map(Vec::len).sum::<usize>()
+        );
+        assert_eq!(
+            read_op_chunks_file(&sample_path(binary)).unwrap(),
+            oracle,
+            "{binary}"
+        );
+    }
+}
+
+/// Version-1 streams replay through the op reader exactly like the edges
+/// they encode: the engine fed `data/sample_batches.wccs` through the op
+/// reader takes the same path, rounds and words per batch, and ends in the
+/// same partition, as the engine fed the text source's edge batches — and
+/// the insert-only replay never builds the deletion sketch.
 #[test]
 fn v1_chunk_streams_replay_identically_through_the_op_reader() {
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/data/sample_batches.wccs"
-    ));
-    let edge_batches = wcc_graph::io::read_edge_chunks_file(path).unwrap();
+    let path = sample_path("sample_batches.wccs");
     let (version, _) = wcc_graph::io::read_op_chunk_frames(std::io::BufReader::new(
-        std::fs::File::open(path).unwrap(),
+        std::fs::File::open(&path).unwrap(),
     ))
     .unwrap();
-    assert_eq!(version, wcc_graph::io::CHUNK_FORMAT_VERSION);
-    let op_batches = wcc_graph::io::read_op_chunks_file(path).unwrap();
-    let as_ops: Vec<Vec<EdgeOp>> = edge_batches
+    assert_eq!(version, CHUNK_FORMAT_VERSION);
+    let op_batches = wcc_graph::io::read_op_chunks_file(&path).unwrap();
+    let edge_batches: Vec<Vec<(u64, u64)>> = parse_text_schedule("sample_graph.txt", 6)
         .iter()
-        .map(|b| b.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect())
+        .map(|b| b.iter().map(|op| (op.u, op.v)).collect())
         .collect();
-    assert_eq!(op_batches, as_ops, "v1 records must decode identically");
 
-    let mut legacy = IncrementalComponents::new(StreamParams::test_scale(), 7);
-    let legacy_reports = legacy.apply_schedule(&edge_batches).unwrap();
-    let mut dynamic = IncrementalComponents::new(StreamParams::test_scale(), 7);
-    let dynamic_reports = dynamic.apply_ops_schedule(&op_batches).unwrap();
+    let mut oracle = IncrementalComponents::new(StreamParams::test_scale(), 7);
+    let oracle_reports = oracle.apply_schedule(&edge_batches).unwrap();
+    let mut decoded = IncrementalComponents::new(StreamParams::test_scale(), 7);
+    let decoded_reports = decoded.apply_ops_schedule(&op_batches).unwrap();
 
-    assert_eq!(legacy_reports.len(), dynamic_reports.len());
-    for (l, d) in legacy_reports.iter().zip(&dynamic_reports) {
-        assert_eq!(l.path, d.path);
-        assert_eq!(l.rounds, d.rounds);
-        assert_eq!(l.communication_words, d.communication_words);
-        assert_eq!((l.insertions, l.deletions), (d.insertions, d.deletions));
+    assert_eq!(oracle_reports.len(), decoded_reports.len());
+    for (o, d) in oracle_reports.iter().zip(&decoded_reports) {
+        assert_eq!(o.path, d.path);
+        assert_eq!(o.rounds, d.rounds);
+        assert_eq!(o.communication_words, d.communication_words);
+        assert_eq!((o.insertions, o.deletions), (d.insertions, d.deletions));
     }
-    assert_eq!(legacy.num_edges(), dynamic.num_edges());
-    assert!(legacy.labels().same_partition(&dynamic.labels()));
-    assert!(!dynamic.sketch_active(), "an insert-only replay stays lazy");
+    assert_eq!(oracle.num_edges(), decoded.num_edges());
+    assert!(oracle.labels().same_partition(&decoded.labels()));
+    assert!(!decoded.sketch_active(), "an insert-only replay stays lazy");
 }

@@ -1,6 +1,7 @@
 //! Smoke test for the `examples/` directory: every example must keep
-//! compiling, and `quickstart` must actually run to completion. This stops
-//! examples from silently rotting as the library API evolves.
+//! compiling, and `quickstart` and `stream_ingest` must actually run to
+//! completion. This stops examples from silently rotting as the library API
+//! evolves.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -62,26 +63,40 @@ fn all_examples_build() {
     }
 }
 
-#[test]
-fn quickstart_example_runs_to_completion() {
+/// Runs `examples/<name>.rs` at `WCC_EXAMPLE_SCALE=20` and asserts it exits
+/// cleanly after printing its final union-find ground-truth check.
+fn assert_example_reaches_ground_truth(name: &str) {
     let root = workspace_root();
     let output = cargo()
         .current_dir(&root)
-        .args(["run", "--example", "quickstart"])
+        .args(["run", "--example", name])
         // Divide the instance sizes so the unoptimized binary finishes in
         // seconds; the example itself defaults to full scale.
         .env("WCC_EXAMPLE_SCALE", "20")
         .output()
-        .expect("failed to spawn cargo run --example quickstart");
+        .unwrap_or_else(|e| panic!("failed to spawn cargo run --example {name}: {e}"));
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         output.status.success(),
-        "quickstart exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
+        "{name} exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
         output.status.code()
     );
     assert!(
         stdout.contains("matches the sequential union-find ground truth"),
-        "quickstart did not reach its final ground-truth check:\n{stdout}"
+        "{name} did not reach its final ground-truth check:\n{stdout}"
     );
+}
+
+#[test]
+fn quickstart_example_runs_to_completion() {
+    assert_example_reaches_ground_truth("quickstart");
+}
+
+/// `stream_ingest` round-trips its schedule through the chunk writer and the
+/// parallel op reader (asserting the round trip is lossless) before replaying
+/// it through the incremental engine.
+#[test]
+fn stream_ingest_example_runs_to_completion() {
+    assert_example_reaches_ground_truth("stream_ingest");
 }

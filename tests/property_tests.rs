@@ -11,6 +11,9 @@ use wcc_core::leader::{contraction_graph, finish_with_bfs};
 use wcc_core::prelude::*;
 use wcc_core::regularize::regularize;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
+use wcc_graph::io::{
+    CHUNK_BYTES_PER_EDGE, CHUNK_BYTES_PER_OP, CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2,
+};
 use wcc_graph::prelude::*;
 use wcc_mpc::{MpcConfig, MpcContext};
 use wcc_sketch::ConnectivitySketch;
@@ -21,6 +24,48 @@ fn arb_graph(max_n: usize, max_extra_edges: usize) -> impl Strategy<Value = Grap
         let edges = proptest::collection::vec((0..n, 0..n), 0..max_extra_edges);
         edges.prop_map(move |e| Graph::from_edges_unchecked(n, e))
     })
+}
+
+/// Both `WCCS` chunk format versions: insert-only and turnstile.
+const CHUNK_VERSIONS: [u32; 2] = [CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2];
+
+/// An op schedule from raw `(u, v, delete)` draws. Version 2 keeps the
+/// deletions; version 1 is insert-only, so every draw becomes an insertion.
+fn ops_for(version: u32, raw: &[(u64, u64, bool)]) -> Vec<EdgeOp> {
+    raw.iter()
+        .map(|&(u, v, del)| {
+            if del && version == CHUNK_FORMAT_VERSION_V2 {
+                EdgeOp::delete(u, v)
+            } else {
+                EdgeOp::insert(u, v)
+            }
+        })
+        .collect()
+}
+
+/// Encodes op batches as a chunk stream of format `version`.
+fn encode_chunks(version: u32, chunks: &[&[EdgeOp]]) -> Vec<u8> {
+    let mut binary = Vec::new();
+    let mut writer = ChunkWriter::new(&mut binary, version).unwrap();
+    for chunk in chunks {
+        writer.write_chunk(chunk).unwrap();
+    }
+    writer.finish().unwrap();
+    binary
+}
+
+/// Byte offset of each chunk's length header, plus the stream's end.
+fn chunk_offsets(version: u32, chunks: &[&[EdgeOp]]) -> Vec<usize> {
+    let record_bytes = if version == CHUNK_FORMAT_VERSION_V2 {
+        CHUNK_BYTES_PER_OP
+    } else {
+        CHUNK_BYTES_PER_EDGE
+    };
+    let mut offsets = vec![8usize];
+    for c in chunks {
+        offsets.push(offsets.last().unwrap() + 8 + record_bytes * c.len());
+    }
+    offsets
 }
 
 proptest! {
@@ -117,30 +162,27 @@ proptest! {
         g in arb_graph(80, 200),
         batch_edges in 1usize..40,
     ) {
-        use wcc_graph::io::{read_edge_chunks, write_edge_chunks};
-
         // Text leg: serialize and re-load (this is where ids are remapped).
         let mut text1 = Vec::new();
         write_edge_list(&g, &mut text1).unwrap();
         let loaded = read_edge_list(std::io::Cursor::new(text1)).unwrap();
 
         // Binary leg: the re-loaded edges in *original* ids, chunked.
-        let raw_edges: Vec<(u64, u64)> = loaded
+        let raw_edges: Vec<EdgeOp> = loaded
             .graph
             .edge_iter()
-            .map(|(u, v)| (loaded.original_ids[u], loaded.original_ids[v]))
+            .map(|(u, v)| EdgeOp::insert(loaded.original_ids[u], loaded.original_ids[v]))
             .collect();
-        let chunks: Vec<&[(u64, u64)]> = raw_edges.chunks(batch_edges).collect();
-        let mut binary = Vec::new();
-        write_edge_chunks(&chunks, &mut binary).unwrap();
-        let decoded = read_edge_chunks(std::io::Cursor::new(binary)).unwrap();
+        let chunks: Vec<&[EdgeOp]> = raw_edges.chunks(batch_edges).collect();
+        let binary = encode_chunks(CHUNK_FORMAT_VERSION, &chunks);
+        let decoded = read_op_chunks(std::io::Cursor::new(binary)).unwrap();
 
         // Back to text: emit the decoded stream as edge-list lines (keeping
         // the raw id space) and re-load it one final time.
-        let flat: Vec<(u64, u64)> = decoded.into_iter().flatten().collect();
         let mut text2 = String::from("# decoded from the binary chunk leg\n");
-        for &(a, b) in &flat {
-            text2.push_str(&format!("{a} {b}\n"));
+        for op in decoded.iter().flatten() {
+            prop_assert_eq!(op.kind, OpKind::Insert);
+            text2.push_str(&format!("{} {}\n", op.u, op.v));
         }
         let final_loaded = read_edge_list(std::io::Cursor::new(text2.into_bytes())).unwrap();
 
@@ -171,79 +213,40 @@ proptest! {
     }
 
     #[test]
-    fn truncated_chunk_streams_error_instead_of_panicking(
-        g in arb_graph(40, 100),
-        batch_edges in 1usize..20,
-        cut_permille in 0usize..1000,
-    ) {
-        use wcc_graph::io::{read_edge_chunks, write_edge_chunks, IoError};
-
-        let raw: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
-        let chunks: Vec<&[(u64, u64)]> = raw.chunks(batch_edges).collect();
-        let mut binary = Vec::new();
-        write_edge_chunks(&chunks, &mut binary).unwrap();
-
-        // Clean EOF is legal exactly at the header boundary and after each
-        // chunk; everywhere else the reader must report truncation (and must
-        // never panic).
-        let mut boundaries = vec![8usize];
-        let mut offset = 8usize;
-        for c in &chunks {
-            offset += 8 + 16 * c.len();
-            boundaries.push(offset);
-        }
-        let cut = binary.len() * cut_permille / 1000;
-        let result = read_edge_chunks(std::io::Cursor::new(binary[..cut].to_vec()));
-        if boundaries.contains(&cut) {
-            prop_assert!(result.is_ok(), "cut {} is a chunk boundary", cut);
-        } else {
-            prop_assert!(
-                matches!(result, Err(IoError::Truncated { .. })),
-                "cut {} inside the stream must report truncation", cut
-            );
-        }
-    }
-
-    #[test]
     fn corrupted_chunk_headers_error_instead_of_panicking(
         g in arb_graph(40, 100),
         batch_edges in 1usize..20,
         chunk_pick in 0usize..20,
         flip_bit in 0u32..4,
     ) {
-        use wcc_graph::io::{read_edge_chunks, write_edge_chunks, IoError};
-
-        let raw: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
+        let raw: Vec<EdgeOp> =
+            g.edge_iter().map(|(u, v)| EdgeOp::insert(u as u64, v as u64)).collect();
         if raw.is_empty() {
             return; // a graph with no edges has no chunk header to corrupt
         }
-        let chunks: Vec<&[(u64, u64)]> = raw.chunks(batch_edges).collect();
-        let mut binary = Vec::new();
-        write_edge_chunks(&chunks, &mut binary).unwrap();
+        let chunks: Vec<&[EdgeOp]> = raw.chunks(batch_edges).collect();
+        for version in CHUNK_VERSIONS {
+            // Corrupt the low nibble of one chunk's length header: adding or
+            // removing 1..8 bytes leaves a length that is no whole number of
+            // 16- or 17-byte records, which the reader must flag as Corrupt
+            // — never panic, never mis-decode.
+            let target = chunk_pick % chunks.len();
+            let mut binary = encode_chunks(version, &chunks);
+            binary[chunk_offsets(version, &chunks)[target]] ^= 1u8 << flip_bit;
+            let result = read_op_chunks(std::io::Cursor::new(binary));
+            prop_assert!(
+                matches!(result, Err(IoError::Corrupt { chunk, .. }) if chunk == target),
+                "v{}: corrupting chunk {}'s header must surface as Corrupt", version, target
+            );
 
-        // Corrupt the low nibble of one chunk's length header: the length is
-        // no longer a multiple of 16, which the reader must flag as Corrupt
-        // — never panic, never mis-decode.
-        let target = chunk_pick % chunks.len();
-        let mut offset = 8usize;
-        for c in chunks.iter().take(target) {
-            offset += 8 + 16 * c.len();
+            // Corrupting the magic must surface as BadMagic.
+            let mut bad_magic = encode_chunks(version, &chunks);
+            bad_magic[0] ^= 0xFF;
+            prop_assert!(matches!(
+                read_op_chunks(std::io::Cursor::new(bad_magic)),
+                Err(IoError::BadMagic)
+            ));
         }
-        binary[offset] ^= 1u8 << flip_bit;
-        let result = read_edge_chunks(std::io::Cursor::new(binary));
-        prop_assert!(
-            matches!(result, Err(IoError::Corrupt { chunk, .. }) if chunk == target),
-            "corrupting chunk {}'s header must surface as Corrupt", target
-        );
-
-        // Corrupting the magic must surface as BadMagic.
-        let mut bad_magic = Vec::new();
-        write_edge_chunks(&chunks, &mut bad_magic).unwrap();
-        bad_magic[0] ^= 0xFF;
-        prop_assert!(matches!(
-            read_edge_chunks(std::io::Cursor::new(bad_magic)),
-            Err(IoError::BadMagic)
-        ));
     }
 
     #[test]
@@ -315,18 +318,13 @@ proptest! {
         ops_raw in proptest::collection::vec((0u64..500, 0u64..500, proptest::bool::ANY), 0..200),
         batch_ops in 1usize..40,
     ) {
-        use wcc_graph::io::{read_op_chunks, write_op_chunks, EdgeOp};
-
-        let ops: Vec<EdgeOp> = ops_raw
-            .iter()
-            .map(|&(u, v, del)| if del { EdgeOp::delete(u, v) } else { EdgeOp::insert(u, v) })
-            .collect();
-        let chunks: Vec<&[EdgeOp]> = ops.chunks(batch_ops).collect();
-        let mut binary = Vec::new();
-        write_op_chunks(&chunks, &mut binary).unwrap();
-        let decoded = read_op_chunks(std::io::Cursor::new(binary)).unwrap();
-        let expect: Vec<Vec<EdgeOp>> = chunks.iter().map(|c| c.to_vec()).collect();
-        prop_assert_eq!(decoded, expect);
+        for version in CHUNK_VERSIONS {
+            let ops = ops_for(version, &ops_raw);
+            let chunks: Vec<&[EdgeOp]> = ops.chunks(batch_ops).collect();
+            let decoded = read_op_chunks(std::io::Cursor::new(encode_chunks(version, &chunks)));
+            let expect: Vec<Vec<EdgeOp>> = chunks.iter().map(|c| c.to_vec()).collect();
+            prop_assert_eq!(decoded.unwrap(), expect);
+        }
     }
 
     #[test]
@@ -336,45 +334,35 @@ proptest! {
         cut_permille in 0usize..1000,
         bad_tag in 2u8..255,
     ) {
-        use wcc_graph::io::{read_op_chunks, write_op_chunks, EdgeOp, IoError, CHUNK_BYTES_PER_OP};
+        for version in CHUNK_VERSIONS {
+            let ops = ops_for(version, &ops_raw);
+            let chunks: Vec<&[EdgeOp]> = ops.chunks(batch_ops).collect();
+            let binary = encode_chunks(version, &chunks);
 
-        let ops: Vec<EdgeOp> = ops_raw
-            .iter()
-            .map(|&(u, v, del)| if del { EdgeOp::delete(u, v) } else { EdgeOp::insert(u, v) })
-            .collect();
-        let chunks: Vec<&[EdgeOp]> = ops.chunks(batch_ops).collect();
-        let mut binary = Vec::new();
-        write_op_chunks(&chunks, &mut binary).unwrap();
-
-        // Truncation at every offset: clean EOF is legal exactly at the
-        // header boundary and after each chunk, truncation everywhere else.
-        let mut boundaries = vec![8usize];
-        let mut offset = 8usize;
-        for c in &chunks {
-            offset += 8 + CHUNK_BYTES_PER_OP * c.len();
-            boundaries.push(offset);
-        }
-        let cut = binary.len() * cut_permille / 1000;
-        let result = read_op_chunks(std::io::Cursor::new(binary[..cut].to_vec()));
-        if boundaries.contains(&cut) {
-            prop_assert!(result.is_ok(), "cut {} is a chunk boundary", cut);
-        } else {
-            prop_assert!(
-                matches!(result, Err(IoError::Truncated { .. })),
-                "cut {} inside the stream must report truncation", cut
-            );
+            // Truncation at every offset: clean EOF is legal exactly at the
+            // header boundary and after each chunk, truncation everywhere
+            // else.
+            let offsets = chunk_offsets(version, &chunks);
+            let cut = binary.len() * cut_permille / 1000;
+            let result = read_op_chunks(std::io::Cursor::new(binary[..cut].to_vec()));
+            if offsets.contains(&cut) {
+                prop_assert!(result.is_ok(), "v{}: cut {} is a chunk boundary", version, cut);
+            } else {
+                prop_assert!(
+                    matches!(result, Err(IoError::Truncated { .. })),
+                    "v{}: cut {} inside the stream must report truncation", version, cut
+                );
+            }
         }
 
         // An op tag outside {insert, delete} must surface as Corrupt naming
         // the right chunk — never panic, never decode garbage.
+        let ops = ops_for(CHUNK_FORMAT_VERSION_V2, &ops_raw);
+        let chunks: Vec<&[EdgeOp]> = ops.chunks(batch_ops).collect();
         let target = (cut_permille + batch_ops) % chunks.len();
         let record = cut_permille % chunks[target].len();
-        let mut offset = 8usize;
-        for c in chunks.iter().take(target) {
-            offset += 8 + CHUNK_BYTES_PER_OP * c.len();
-        }
-        let mut corrupted = Vec::new();
-        write_op_chunks(&chunks, &mut corrupted).unwrap();
+        let offset = chunk_offsets(CHUNK_FORMAT_VERSION_V2, &chunks)[target];
+        let mut corrupted = encode_chunks(CHUNK_FORMAT_VERSION_V2, &chunks);
         corrupted[offset + 8 + record * CHUNK_BYTES_PER_OP] = bad_tag;
         prop_assert!(
             matches!(
