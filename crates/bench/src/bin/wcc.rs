@@ -29,16 +29,18 @@
 //! `wcc stream` replays a batch schedule in the binary chunk format (magic
 //! `WCCS`, see `wcc_graph::io`) through the incremental engine: chunks are
 //! decoded in parallel through the executor, each chunk is one batch, and
-//! the per-batch path (union-find fast path, sketch repair, or full
-//! pipeline recompute), rounds, words and wall time are reported — in a
+//! the per-batch path (union-find fast path, sketch repair, or a Theorem-4
+//! recompute of the escalated components), rounds, words and wall time are
+//! reported — in a
 //! `batches` array inside the same `--json` record the one-shot modes
 //! emit. Both format versions replay through the same reader: version-1
 //! streams decode to all-insert schedules, version-2 streams (per-record
 //! op tag) may mix insertions and turnstile deletions, with per-batch
-//! `insertions`/`deletions`/`splits`/`sketch_recertifies` counts in the
-//! record. `wcc pack` converts a text edge list into that format —
-//! version 1 by default, version 2 with `--ops` (lines may then carry a
-//! `+`/`-` op prefix; bare `u v` lines are insertions).
+//! `insertions`/`deletions`/`splits`/`sketch_recertifies` counts and the
+//! `recomputed_vertices` Theorem 4 ran on in the record. `wcc pack`
+//! converts a text edge list into that format — version 1 by default,
+//! version 2 with `--ops` (lines may then carry a `+`/`-` op prefix; bare
+//! `u v` lines are insertions).
 //!
 //! `wcc serve` runs the same replay as a *live* service: it binds a TCP
 //! listener (DESIGN.md §11 documents the wire protocol; `wcc_loadgen` is
@@ -210,6 +212,8 @@ struct JsonBatch {
     sketch_recertifies: usize,
     /// `"fast-path"`, `"sketch-repair"` or `"recompute:<reason>"`.
     path: String,
+    /// Vertices Theorem 4 ran on (0 unless the path is a recompute).
+    recomputed_vertices: usize,
     components_after: usize,
     rounds: u64,
     communication_words: u64,
@@ -262,6 +266,7 @@ impl From<&BatchReport> for JsonBatch {
             splits: r.splits,
             sketch_recertifies: r.sketch_recertifies,
             path: r.path.label().to_string(),
+            recomputed_vertices: r.recomputed_vertices,
             components_after: r.components_after,
             rounds: r.rounds,
             communication_words: r.communication_words,
@@ -651,7 +656,7 @@ fn run_stream(opts: &Options) -> ExitCode {
         println!(
             "batch {:>4}: {:>7} ops ({:>7} ins, {:>6} del), {:>6} new vertices, \
              {:>3} standing merges, {:>3} splits -> {:<32} \
-             ({} rounds, {} words, {:.1} ms)",
+             ({} recomputed vertices, {} rounds, {} words, {:.1} ms)",
             r.batch_index,
             r.edges_in_batch,
             r.insertions,
@@ -660,6 +665,7 @@ fn run_stream(opts: &Options) -> ExitCode {
             r.standing_merges,
             r.splits,
             r.path.label(),
+            r.recomputed_vertices,
             r.rounds,
             r.communication_words,
             r.wall_time_ms

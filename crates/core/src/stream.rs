@@ -15,12 +15,19 @@
 //!   provably cannot have changed the maintained structure: no union joins
 //!   two *standing* components (components that both existed before the batch
 //!   began) and the well-connectedness certificate still holds.
-//! * **Slow path** — a full pipeline recompute
-//!   ([`well_connected_components_with_ctx`]) on the accumulated graph, i.e.
-//!   the paper's Theorem 4 run end to end, in the spirit of Behnezhad et
-//!   al.'s near-optimal recompute bound. The recompute's labels are adopted
-//!   as the authoritative decomposition, and the certificate thresholds are
-//!   refreshed from the new graph.
+//! * **Slow path** — the paper's Theorem 4
+//!   ([`well_connected_components_with_ctx`]) rerun on the batch's *scope*:
+//!   the components that escalated (a standing merge, a certificate
+//!   violation, or a deletion the sketch could not certify), in the spirit
+//!   of Behnezhad et al.'s near-optimal recompute bound and of
+//!   Farhadi–Liu–Shi's work proportional to the touched component. The
+//!   guarantee holds per component, and the maintained partition never
+//!   splits a true component, so the scope's induced subgraph is closed and
+//!   the run on it yields exactly its components. Their labels are adopted
+//!   and their certificates refreshed; every other component keeps its
+//!   labels and certificate. A bootstrap, or a batch with
+//!   [`StreamParams::fast_path`] off, scopes every vertex and is a
+//!   whole-graph run.
 //!
 //! ## The well-connectedness certificate
 //!
@@ -40,18 +47,19 @@
 //! * a *deletion endpoint* can drop below the **floor** (erosion of a
 //!   certified component's regularity).
 //!
-//! Either violation escalates the batch to the slow path. Components built
-//! purely on the fast path since the last recompute (fresh arrivals that
-//! never merged into a standing component) carry trivial thresholds until
-//! the next recompute certifies them — the certificate tracks *degradation
-//! of certified structure*, not absolute quality of brand-new structure.
+//! A violation escalates the violating component to the slow path.
+//! Components built purely on the fast path since the last recompute (fresh
+//! arrivals that never merged into a standing component) carry trivial
+//! thresholds until the next recompute certifies them — the certificate
+//! tracks *degradation of certified structure*, not absolute quality of
+//! brand-new structure.
 //!
 //! ## Deletions: the turnstile sketch path
 //!
 //! The stream is *fully dynamic*: batches may carry edge deletions
 //! ([`IncrementalComponents::apply_ops_batch`], fed from version-2 `WCCS`
 //! streams). Deleting an edge can only *split* the component it lived in, so
-//! between the fast path and the full recompute sits a third, component-local
+//! between the fast path and the recompute sits a third, component-local
 //! path built on the paper's own AGM linear sketches (Proposition 8.1, which
 //! are turnstile by construction — a deletion is a `−1` update on the same
 //! ℓ0 samplers):
@@ -70,10 +78,11 @@
 //!   *re-certified* connected (one part) or *split* into its exact new
 //!   components ([`BatchPath::SketchRepair`]); splits rebuild the union–find
 //!   and mint new component ids through the usual oldest-member rule.
-//! * Only when the sketch cannot certify (sampling failure,
-//!   [`RecomputeReason::SketchUncertified`]) — or the batch independently
-//!   escalates (standing merge, certificate violation) — does the engine fall
-//!   back to the full Theorem-4 recompute.
+//! * A component the sketch cannot certify (sampling failure,
+//!   [`RecomputeReason::SketchUncertified`]) joins the batch's scope and
+//!   takes the Theorem-4 rung. A dirty component outside the scope of an
+//!   escalated batch still takes the sketch rung first, so each touched
+//!   component settles on the lowest rung that can.
 //!
 //! Deleting an edge that was never inserted (or already deleted) is a hard
 //! error that leaves the engine untouched — over-deletion would silently
@@ -121,15 +130,16 @@ pub struct StreamParams {
     /// Components smaller than this are never certificate-checked (tiny
     /// components are trivially irregular and trivially cheap to recompute).
     pub certificate_min_component: usize,
-    /// When `false`, every non-empty batch escalates to a full recompute.
-    /// This exists for differential testing and benchmarking — it is the
-    /// "no incremental maintenance" strawman the fast path is measured
-    /// against.
+    /// When `false`, every non-empty batch escalates to a whole-graph
+    /// recompute. This exists for differential testing and benchmarking — it
+    /// is the "no incremental maintenance" strawman the fast path is
+    /// measured against.
     pub fast_path: bool,
     /// Independent Borůvka phases of the lazily built turnstile sketch (see
     /// the module docs). More phases raise the probability that a deletion
-    /// is absorbed by the sketch-repair path instead of escalating to a
-    /// full recompute, at `O(phases · log n)` words per vertex.
+    /// is absorbed by the sketch-repair path instead of escalating its
+    /// component to a Theorem-4 rerun, at `O(phases · log n)` words per
+    /// vertex.
     pub sketch_phases: usize,
 }
 
@@ -213,7 +223,10 @@ pub enum BatchPath {
     /// Component-local sketch-Borůvka re-certify-or-split of the components
     /// touched by structural deletions; no pipeline work.
     SketchRepair,
-    /// Full pipeline recompute on the accumulated graph.
+    /// Theorem 4 rerun on the batch's scope: every vertex for a bootstrap
+    /// or with the fast path disabled, else the components that escalated
+    /// (the reason names the highest-priority one). Dirty components
+    /// outside the scope still took the sketch rung.
     Recompute(RecomputeReason),
 }
 
@@ -269,14 +282,18 @@ pub struct BatchReport {
     pub sketch_recertifies: usize,
     /// The path the batch took.
     pub path: BatchPath,
+    /// Vertices Theorem 4 ran on in this batch: every vertex for a
+    /// bootstrap or a fast-path-disabled batch, the escalated components'
+    /// members otherwise, and 0 when it did not run.
+    pub recomputed_vertices: usize,
     /// Components after the batch.
     pub components_after: usize,
     /// Vertices after the batch.
     pub vertices_after: usize,
     /// Live (surviving) edges after the batch.
     pub edges_after: usize,
-    /// Simulated MPC rounds charged by this batch (fast-path charge or the
-    /// full recompute).
+    /// Simulated MPC rounds charged by this batch: the fast-path charge,
+    /// plus any sketch repair, plus any Theorem-4 run on the scope.
     pub rounds: u64,
     /// Words of simulated communication charged by this batch.
     pub communication_words: u64,
@@ -425,10 +442,14 @@ impl IncrementalComponents {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] if a slow-path recompute fails (bad parameters,
-    /// infeasible cluster) or the dense vertex space overflows `u32`. The
-    /// labelling itself remains correct after such an error — only the
-    /// certificate refresh is missed, and the next escalation retries it.
+    /// Returns [`CoreError`] if the Theorem-4 rerun on the batch's scope
+    /// fails (bad parameters, infeasible cluster) or the dense vertex space
+    /// overflows `u32`. A failed scoped recompute leaves the labels outside
+    /// its scope as the fast path and the sketch rung settled them (exact).
+    /// Inside the scope the labels may be over-coarse: a component the
+    /// sketch could not certify may have split without the union–find
+    /// knowing, and the scope's certificates are not refreshed.
+    ///
     /// A deletion with no live copy to remove — an edge never inserted, or
     /// already deleted, accounting for earlier ops *in the same batch* —
     /// returns [`CoreError::BadParams`] **before any state changes**: the
@@ -526,6 +547,10 @@ impl IncrementalComponents {
         let mut deletions = 0usize;
         let mut standing_merges = 0usize;
         let mut cert_violated = false;
+        // One vertex behind each escalation (a standing merge, a cap or a
+        // floor violation): the components holding them after the batch
+        // form the scope of the Theorem-4 rerun.
+        let mut escalated: Vec<u32> = Vec::new();
         // Vertices whose component lost the last live copy of an edge this
         // batch — candidates for a sketch-Borůvka re-certify-or-split.
         let mut dirty: Vec<u32> = Vec::new();
@@ -561,6 +586,7 @@ impl IncrementalComponents {
                         let standing = self.oldest[ru] < n0 && self.oldest[rv] < n0;
                         if standing {
                             standing_merges += 1;
+                            escalated.push(u as u32);
                         }
                         let inherited = if self.oldest[ru] < n0 && self.oldest[rv] >= n0 {
                             (self.cert_floor[ru], self.cert_cap[ru])
@@ -568,8 +594,8 @@ impl IncrementalComponents {
                             (self.cert_floor[rv], self.cert_cap[rv])
                         } else {
                             // Both new (uncertified) or both standing (the
-                            // batch escalates and the recompute refreshes
-                            // everything).
+                            // merged component escalates and the recompute
+                            // certifies it).
                             UNCERTIFIED
                         };
                         let merged_oldest = self.oldest[ru].min(self.oldest[rv]);
@@ -587,6 +613,7 @@ impl IncrementalComponents {
                         let cap = self.cert_cap[r];
                         if self.degrees[u] > cap || self.degrees[v] > cap {
                             cert_violated = true;
+                            escalated.push(u as u32);
                         }
                     }
                 }
@@ -627,6 +654,7 @@ impl IncrementalComponents {
                             let floor = self.cert_floor[r];
                             if self.degrees[u] < floor || self.degrees[v] < floor {
                                 cert_violated = true;
+                                escalated.push(u as u32);
                             }
                         }
                     }
@@ -641,14 +669,14 @@ impl IncrementalComponents {
             let r = self.uf.find(v);
             if self.uf.set_size(r) >= min_component && self.degrees[v] < self.cert_floor[r] {
                 cert_violated = true;
+                escalated.push(v as u32);
             }
         }
 
-        let mut splits = 0usize;
-        let mut sketch_recertifies = 0usize;
+        let whole_graph = bootstrap || (!self.params.fast_path && len > 0);
         let mut path = if bootstrap {
             BatchPath::Recompute(RecomputeReason::Bootstrap)
-        } else if !self.params.fast_path && len > 0 {
+        } else if whole_graph {
             BatchPath::Recompute(RecomputeReason::FastPathDisabled)
         } else if standing_merges > 0 {
             BatchPath::Recompute(RecomputeReason::StandingMerge)
@@ -659,27 +687,44 @@ impl IncrementalComponents {
         } else {
             BatchPath::FastPath
         };
-        if path == BatchPath::SketchRepair {
-            match self.sketch_repair(&dirty) {
-                Some((s, r)) => {
-                    splits = s;
-                    sketch_recertifies = r;
-                    self.splits_total += s;
-                    self.sketch_recertifies_total += r;
-                }
-                None => path = BatchPath::Recompute(RecomputeReason::SketchUncertified),
-            }
-        }
-        let outcome = if let BatchPath::Recompute(_) = path {
-            self.recompute()
+
+        // The scope: every vertex on a bootstrap or with the fast path off,
+        // else the components that escalated. Dirty components outside it
+        // take the sketch rung; any the sketch cannot certify join it.
+        let n = self.original_ids.len();
+        let mut scope: Vec<u32> = if whole_graph {
+            (0..n as u32).collect()
         } else {
-            Ok(())
+            escalated
+        };
+        let in_scope = self.root_mask(&scope);
+        let mut repair: Vec<usize> = dirty
+            .iter()
+            .map(|&v| self.uf.find(v as usize))
+            .filter(|&r| !in_scope[r])
+            .collect();
+        repair.sort_unstable();
+        repair.dedup();
+        let (splits, sketch_recertifies, uncertified) = self.sketch_repair(&repair);
+        self.splits_total += splits;
+        self.sketch_recertifies_total += sketch_recertifies;
+        if !uncertified.is_empty() {
+            if path == BatchPath::SketchRepair {
+                path = BatchPath::Recompute(RecomputeReason::SketchUncertified);
+            }
+            scope.extend(uncertified);
+        }
+
+        let outcome = if let BatchPath::Recompute(_) = path {
+            self.recompute(&scope)
+        } else {
+            Ok(0)
         };
         // Close the batch's phase before propagating any recompute failure:
         // a stale open phase would swallow caller time into its wall-time
         // share the next time `begin_phase` closed it.
         self.ctx.end_phase();
-        outcome?;
+        let recomputed_vertices = outcome?;
 
         Ok(BatchReport {
             batch_index,
@@ -691,6 +736,7 @@ impl IncrementalComponents {
             splits,
             sketch_recertifies,
             path,
+            recomputed_vertices,
             components_after: self.uf.num_sets(),
             vertices_after: self.original_ids.len(),
             edges_after: self.live_edges,
@@ -700,12 +746,13 @@ impl IncrementalComponents {
         })
     }
 
-    /// Re-certify-or-split every component touched by a structural deletion,
-    /// entirely in sketch space. Returns `(splits, recertifies)` on success;
-    /// `None` when any touched component exhausts the sketch's phase budget
-    /// without certifying, in which case **nothing was mutated** (all
-    /// partitions are certified before any is applied) and the caller
-    /// escalates to a full recompute.
+    /// Re-certify-or-split the components rooted at `roots` (sorted,
+    /// distinct; each touched by a structural deletion) entirely in sketch
+    /// space. Returns `(splits, recertifies, uncertified)`: every component
+    /// the sketch certifies is re-certified (one part) or split into its
+    /// exact parts; `uncertified` holds one member of each component that
+    /// exhausted the sketch's phase budget, which is left untouched for the
+    /// caller to rerun Theorem 4 on.
     ///
     /// Soundness of restricting Borůvka to one maintained component: the
     /// maintained partition is always *over-coarse* (never splits a true
@@ -716,16 +763,13 @@ impl IncrementalComponents {
     /// Cost model: per touched component, one round routing its members'
     /// sketches to a coordinator (`members · words_per_vertex` words) and
     /// one round broadcasting the new labels (`members` words).
-    fn sketch_repair(&mut self, dirty: &[u32]) -> Option<(usize, usize)> {
+    fn sketch_repair(&mut self, roots: &[usize]) -> (usize, usize, Vec<u32>) {
+        if roots.is_empty() {
+            return (0, 0, Vec::new());
+        }
         let n = self.original_ids.len();
-        // Deterministic component order: sorted distinct roots.
-        let mut roots: Vec<usize> = dirty.iter().map(|&v| self.uf.find(v as usize)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        let mut is_dirty_root = vec![false; n];
         let mut slot_of_root = vec![usize::MAX; n];
         for (i, &r) in roots.iter().enumerate() {
-            is_dirty_root[r] = true;
             slot_of_root[r] = i;
         }
         // One O(n) pass collects every touched component's members in
@@ -740,74 +784,33 @@ impl IncrementalComponents {
 
         let sketch = self.sketch.as_ref().expect("repair requires the sketch");
         let wpv = sketch.words_per_vertex();
-        // Certify every touched component before mutating anything, so an
-        // uncertified one escalates with the labelling untouched.
-        let mut partitions: Vec<Vec<Vec<u32>>> = Vec::with_capacity(roots.len());
-        for members in &members_of {
+        let mut certified = vec![false; n];
+        let mut parts: Vec<Vec<u32>> = Vec::new();
+        let mut uncertified = Vec::new();
+        let (mut splits, mut recertifies) = (0usize, 0usize);
+        for (&r, members) in roots.iter().zip(&members_of) {
             self.ctx.charge_shuffle(members.len() * wpv);
             self.ctx.charge_shuffle(members.len());
-            partitions.push(sketch.subset_components(members)?.parts);
-        }
-
-        let mut splits = 0usize;
-        let mut recertifies = 0usize;
-        for parts in &partitions {
-            if parts.len() == 1 {
-                recertifies += 1;
-            } else {
-                splits += parts.len() - 1;
-            }
-        }
-        if splits > 0 {
-            // A union–find cannot split, so rebuild it: untouched components
-            // are replayed wholesale, touched ones union per certified part.
-            let mut old_root_of = vec![0usize; n];
-            for (v, slot) in old_root_of.iter_mut().enumerate() {
-                *slot = self.uf.find(v);
-            }
-            let mut uf = UnionFind::new(n);
-            for (v, &r) in old_root_of.iter().enumerate() {
-                if !is_dirty_root[r] {
-                    uf.union(r, v);
-                }
-            }
-            for parts in &partitions {
-                for part in parts {
-                    for &m in &part[1..] {
-                        uf.union(part[0] as usize, m as usize);
+            match sketch.subset_components(members) {
+                Some(cert) => {
+                    certified[r] = true;
+                    if cert.parts.len() == 1 {
+                        recertifies += 1;
+                    } else {
+                        splits += cert.parts.len() - 1;
                     }
+                    parts.extend(cert.parts);
                 }
+                None => uncertified.push(r as u32),
             }
-            // Carry certificates across the re-rooting: an untouched
-            // component keeps its thresholds (its membership is unchanged);
-            // a touched component loses them until the next recompute
-            // certifies its parts.
-            let mut floor = vec![UNCERTIFIED.0; n];
-            let mut cap = vec![UNCERTIFIED.1; n];
-            for (v, &or) in old_root_of.iter().enumerate() {
-                if !is_dirty_root[or] {
-                    let nr = uf.find(v);
-                    floor[nr] = self.cert_floor[or];
-                    cap[nr] = self.cert_cap[or];
-                }
-            }
-            self.uf = uf;
-            self.cert_floor = floor;
-            self.cert_cap = cap;
-            // Refresh the oldest-member tags: reset every slot, take minima
-            // over the new sets. Split-off parts mint fresh component ids
-            // through the snapshot's oldest-member rule; the part keeping
-            // the old oldest member keeps the old id.
-            for (v, slot) in self.oldest.iter_mut().enumerate() {
-                *slot = v as u32;
-            }
-            for v in 0..n {
-                let r = self.uf.find(v);
-                self.oldest[r] = self.oldest[r].min(v as u32);
-            }
-            self.snap_structure_dirty = true;
         }
-        Some((splits, recertifies))
+        // A union–find cannot split, so a split rebuilds it. The certified
+        // components lose their thresholds until Theorem 4 next runs on
+        // them.
+        if splits > 0 {
+            self.adopt_partition(&certified, &parts, false);
+        }
+        (splits, recertifies, uncertified)
     }
 
     /// Applies a whole insert-only batch schedule in order, returning one
@@ -873,14 +876,54 @@ impl IncrementalComponents {
         Ok(id as u32)
     }
 
-    /// Slow path: run the full pipeline on the accumulated graph, adopt its
-    /// labels, refresh the certificate.
-    fn recompute(&mut self) -> Result<(), CoreError> {
-        let n = self.original_ids.len();
-        let g = self.current_graph();
+    /// `mask[r]` is `true` exactly at the current roots of the components
+    /// holding the vertices in `reps`.
+    fn root_mask(&mut self, reps: &[u32]) -> Vec<bool> {
+        let mut mask = vec![false; self.original_ids.len()];
+        for &v in reps {
+            mask[self.uf.find(v as usize)] = true;
+        }
+        mask
+    }
 
-        // Resize the simulated cluster when the grown input outsizes it;
-        // the retired context's statistics stay in the cumulative record.
+    /// Slow path: run Theorem 4 on the components holding the vertices in
+    /// `scope`, adopt its labels there and certify the parts. Returns the
+    /// number of vertices it ran on. The scope is given by vertices, not
+    /// roots, because a sketch split earlier in the batch re-roots the
+    /// union–find.
+    ///
+    /// The scope's induced subgraph — members in ascending dense id, live
+    /// edges in slot order — is closed: the maintained partition is
+    /// over-coarse, so no live edge leaves a maintained component. With
+    /// every vertex in scope it is exactly [`current_graph`], so a
+    /// bootstrap or a fast-path-disabled replay draws the same randomness
+    /// on the same input as a whole-graph run.
+    ///
+    /// [`current_graph`]: IncrementalComponents::current_graph
+    fn recompute(&mut self, scope: &[u32]) -> Result<usize, CoreError> {
+        let n = self.original_ids.len();
+        let in_scope = self.root_mask(scope);
+        let mut local = vec![u32::MAX; n];
+        let mut members: Vec<u32> = Vec::new();
+        for v in 0..n {
+            if in_scope[self.uf.find(v)] {
+                local[v] = members.len() as u32;
+                members.push(v as u32);
+            }
+        }
+        let induced = self
+            .edges
+            .iter()
+            .zip(&self.edge_alive)
+            .filter(|&(&(u, _), &alive)| alive && local[u as usize] != u32::MAX)
+            .map(|(&(u, v), _)| {
+                debug_assert_ne!(local[v as usize], u32::MAX, "scope is not closed");
+                (local[u as usize] as usize, local[v as usize] as usize)
+            });
+        let g = Graph::from_edges_unchecked(members.len(), induced);
+
+        // Resize the simulated cluster when the input outsizes it; the
+        // retired context's statistics stay in the cumulative record.
         let want = recommended_config(&g, self.params.lambda, &self.params.pipeline);
         let have = self.ctx.config();
         if want.memory_per_machine > have.memory_per_machine
@@ -901,57 +944,82 @@ impl IncrementalComponents {
         // a failed escalation must not inflate the counter).
         self.recomputes += 1;
 
-        // Adopt the pipeline's labelling as the authoritative decomposition.
+        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); labels.num_components()];
+        for (i, &m) in members.iter().enumerate() {
+            parts[labels.label(i)].push(m);
+        }
+        self.adopt_partition(&in_scope, &parts, true);
+        self.bootstrapped = true;
+        Ok(members.len())
+    }
+
+    /// Replaces the components whose roots `in_scope` marks with `parts`
+    /// (each a non-empty member list; together exactly their vertices).
+    /// Every other component is replayed unchanged and keeps its
+    /// certificate; the parts are certified afresh when `certify` is set
+    /// and left uncertified otherwise. Oldest-member tags are refreshed, so
+    /// a part keeping a component's oldest member keeps its id and the
+    /// others mint new ones.
+    fn adopt_partition(&mut self, in_scope: &[bool], parts: &[Vec<u32>], certify: bool) {
+        let n = self.original_ids.len();
+        let old_root_of: Vec<usize> = (0..n).map(|v| self.uf.find(v)).collect();
         let mut uf = UnionFind::new(n);
-        let mut representative = vec![usize::MAX; labels.num_components()];
-        for v in 0..n {
-            let l = labels.label(v);
-            if representative[l] == usize::MAX {
-                representative[l] = v;
-            } else {
-                uf.union(representative[l], v);
+        for (v, &r) in old_root_of.iter().enumerate() {
+            if !in_scope[r] {
+                uf.union(r, v);
+            }
+        }
+        for part in parts {
+            for &m in &part[1..] {
+                uf.union(part[0] as usize, m as usize);
+            }
+        }
+        let mut floor = vec![UNCERTIFIED.0; n];
+        let mut cap = vec![UNCERTIFIED.1; n];
+        for (v, &or) in old_root_of.iter().enumerate() {
+            if !in_scope[or] {
+                let nr = uf.find(v);
+                floor[nr] = self.cert_floor[or];
+                cap[nr] = self.cert_cap[or];
             }
         }
         self.uf = uf;
-
-        // Refresh component tags and certificate thresholds.
-        let skew = self.params.certificate_degree_skew.max(1.0);
-        let slack = self.params.certificate_degree_slack;
-        let mut min_deg = vec![u32::MAX; n];
-        let mut max_deg = vec![0u32; n];
-        let mut deg_sum = vec![0u64; n];
-        // Stale root tags from before the recompute must not survive: reset
-        // every slot to its own id, then take minima over the new sets.
+        self.cert_floor = floor;
+        self.cert_cap = cap;
+        // Stale root tags must not survive: reset every slot to its own id,
+        // then take minima over the new sets.
         for (v, slot) in self.oldest.iter_mut().enumerate() {
             *slot = v as u32;
         }
         for v in 0..n {
             let r = self.uf.find(v);
             self.oldest[r] = self.oldest[r].min(v as u32);
-            min_deg[r] = min_deg[r].min(self.degrees[v]);
-            max_deg[r] = max_deg[r].max(self.degrees[v]);
-            deg_sum[r] += u64::from(self.degrees[v]);
         }
-        // Second pass so aggregates are complete before thresholds are set.
-        for v in 0..n {
-            let r = self.uf.find(v);
-            if v != r {
-                continue;
+        if certify {
+            for part in parts {
+                self.certify(part);
             }
-            let size = self.uf.set_size(r);
-            if size < self.params.certificate_min_component {
-                (self.cert_floor[r], self.cert_cap[r]) = UNCERTIFIED;
-                continue;
-            }
-            let avg = deg_sum[r] as f64 / size as f64;
-            let cap = ((skew * avg).ceil() as u32).saturating_add(slack);
-            let floor = (avg / skew).floor() as u32;
-            self.cert_floor[r] = floor.min(min_deg[r]);
-            self.cert_cap[r] = cap.max(max_deg[r]);
         }
-        self.bootstrapped = true;
         self.snap_structure_dirty = true;
-        Ok(())
+    }
+
+    /// Sets the degree cap and floor of the component with members `part`
+    /// from its current degrees (components below
+    /// [`StreamParams::certificate_min_component`] stay uncertified).
+    fn certify(&mut self, part: &[u32]) {
+        if part.len() < self.params.certificate_min_component {
+            return;
+        }
+        let degrees = part.iter().map(|&m| self.degrees[m as usize]);
+        let min_deg = degrees.clone().min().expect("parts are non-empty");
+        let max_deg = degrees.clone().max().expect("parts are non-empty");
+        let avg = degrees.map(u64::from).sum::<u64>() as f64 / part.len() as f64;
+        let skew = self.params.certificate_degree_skew.max(1.0);
+        let cap = ((skew * avg).ceil() as u32).saturating_add(self.params.certificate_degree_slack);
+        let floor = (avg / skew).floor() as u32;
+        let r = self.uf.find(part[0] as usize);
+        self.cert_floor[r] = floor.min(min_deg);
+        self.cert_cap[r] = cap.max(max_deg);
     }
 
     /// Builds a publishable [`ComponentSnapshot`] of the current
@@ -1576,6 +1644,118 @@ mod tests {
         assert_eq!(engine.num_edges(), edges.len() - doomed.len());
         let truth = connected_components(&engine.current_graph());
         assert!(engine.labels().same_partition(&truth));
+    }
+
+    /// A 1 000-vertex expander bootstrapped alone (raw ids `0..1000`), then
+    /// two 50-vertex expanders (raw ids `1000..1100`) arriving on the fast
+    /// path. Returns the engine and the large expander's edges.
+    fn large_beside_two_small() -> (IncrementalComponents, Vec<(u64, u64)>) {
+        let mut engine = IncrementalComponents::new(params(), 79);
+        let batches = expander_batches(&[1000, 50, 50], 8, 47);
+        let r0 = engine.apply_batch(&batches[0]).unwrap();
+        assert_eq!(r0.path, BatchPath::Recompute(RecomputeReason::Bootstrap));
+        assert_eq!(r0.recomputed_vertices, 1000);
+        let mut small = batches[1].clone();
+        small.extend_from_slice(&batches[2]);
+        assert_eq!(
+            engine.apply_batch(&small).unwrap().path,
+            BatchPath::FastPath
+        );
+        assert_eq!(engine.num_components(), 3);
+        (engine, batches[0].clone())
+    }
+
+    /// The large component's `(floor, cap)` certificate.
+    fn large_certificate(engine: &mut IncrementalComponents) -> (u32, u32) {
+        let r = engine.uf.find(0);
+        (engine.cert_floor[r], engine.cert_cap[r])
+    }
+
+    #[test]
+    fn standing_merge_reruns_theorem_4_on_the_merged_component_only() {
+        let (mut engine, large) = large_beside_two_small();
+        let bootstrap_words = engine.total_communication_words();
+        let certificate = large_certificate(&mut engine);
+        assert_ne!(certificate, UNCERTIFIED);
+
+        let r = engine.apply_batch(&[(1000, 1050)]).unwrap();
+        assert_eq!(r.path, BatchPath::Recompute(RecomputeReason::StandingMerge));
+        assert_eq!(r.recomputed_vertices, 100);
+        assert!(
+            r.communication_words * 10 < bootstrap_words,
+            "scoped recompute charged {} words, bootstrap {bootstrap_words}",
+            r.communication_words
+        );
+        assert_eq!(engine.num_components(), 2);
+        assert_eq!(large_certificate(&mut engine), certificate);
+
+        // The merged component is certified now; the untouched large one
+        // kept its bootstrap thresholds, so ordinary traffic on it stays
+        // on the fast path.
+        let r = engine.apply_batch(&large[..50]).unwrap();
+        assert_eq!(r.path, BatchPath::FastPath);
+        assert_eq!(r.recomputed_vertices, 0);
+        let truth = connected_components(&engine.current_graph());
+        assert!(engine.labels().same_partition(&truth));
+    }
+
+    #[test]
+    fn mixed_batch_repairs_the_dirty_component_by_sketch_and_recomputes_the_merge() {
+        let (mut engine, large) = large_beside_two_small();
+        // A structural deletion in the large expander (an edge with no
+        // parallel copy) rides along with the bridge.
+        let mut copies = HashMap::new();
+        for &(a, b) in &large {
+            *copies.entry((a.min(b), a.max(b))).or_insert(0u32) += 1;
+        }
+        let (a, b) = large
+            .iter()
+            .copied()
+            .find(|&(a, b)| a != b && copies[&(a.min(b), a.max(b))] == 1)
+            .expect("expander has a non-loop simple edge");
+        let r = engine
+            .apply_ops_batch(&[EdgeOp::insert(1000, 1050), EdgeOp::delete(a, b)])
+            .unwrap();
+        assert_eq!(r.path, BatchPath::Recompute(RecomputeReason::StandingMerge));
+        assert_eq!(r.sketch_recertifies + r.splits, 1);
+        assert_eq!(engine.sketch_recertifies() + engine.splits(), 1);
+        assert_eq!(r.recomputed_vertices, 100);
+        let truth = connected_components(&engine.current_graph());
+        assert!(engine.labels().same_partition(&truth));
+    }
+
+    #[test]
+    fn uncertified_sketch_reruns_theorem_4_on_that_component_only() {
+        // Two 20-vertex expanders joined by one bridge (raw ids 0..40) and
+        // an unrelated 30-vertex expander (raw ids 40..70), all certified
+        // by the bootstrap. One Borůvka phase cannot certify a 40-vertex
+        // component, so deleting the bridge escalates.
+        let mut engine = IncrementalComponents::new(params().with_sketch_phases(1), 83);
+        let batches = expander_batches(&[20, 20, 30], 8, 53);
+        let mut ops: Vec<EdgeOp> = batches
+            .iter()
+            .flatten()
+            .map(|&(u, v)| EdgeOp::insert(u, v))
+            .collect();
+        ops.push(EdgeOp::insert(0, 20));
+        engine.apply_ops_batch(&ops).unwrap();
+        assert_eq!(engine.num_components(), 2);
+
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(0, 20)]).unwrap();
+        assert_eq!(
+            r.path,
+            BatchPath::Recompute(RecomputeReason::SketchUncertified)
+        );
+        assert_eq!(r.recomputed_vertices, 40, "scope is the bridged component");
+        assert_eq!((r.splits, r.sketch_recertifies), (0, 0));
+        assert_eq!(engine.num_components(), 3);
+
+        let g = engine.current_graph();
+        let mut uf = UnionFind::new(g.num_vertices());
+        for (u, v) in g.edge_iter() {
+            uf.union(u, v);
+        }
+        assert_eq!(engine.labels(), uf.into_labels());
     }
 
     #[test]

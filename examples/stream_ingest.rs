@@ -5,9 +5,10 @@
 //! one full pipeline run, then a stream of merge-free "traffic" batches
 //! (intra-component densification plus well-attached newcomers) rides the
 //! union-find fast path, and finally a bridge batch merges two standing
-//! components — which escalates to a full pipeline recompute. The batch
-//! schedule round-trips through the binary chunk format (`WCCS`) and the
-//! executor-driven parallel decode, exactly like `wcc stream` does.
+//! components — which escalates to a pipeline rerun on the merged
+//! component. The batch schedule round-trips through the binary chunk
+//! format (`WCCS`) and the executor-driven parallel decode, exactly like
+//! `wcc stream` does.
 //!
 //! Run with:
 //! ```text

@@ -15,7 +15,7 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use wcc_core::stream::{BatchPath, IncrementalComponents, StreamParams};
+use wcc_core::stream::{BatchPath, IncrementalComponents, RecomputeReason, StreamParams};
 use wcc_core::{well_connected_components, Params};
 use wcc_graph::generators::GraphFamily;
 use wcc_graph::io::{EdgeOp, CHUNK_FORMAT_VERSION};
@@ -248,6 +248,115 @@ fn full_component_teardown_reaches_singletons_without_recompute() {
     assert_eq!(engine.num_edges(), 0);
     assert_eq!(engine.num_components(), 7);
     assert_eq!(engine.splits(), 6, "7 singletons minted out of 1 component");
+}
+
+/// Repeated standing merges of small components beside a large churned
+/// one: each merge batch also deletes a few simple edges of the large
+/// expander and reinserts the previous batch's. Every merge batch must
+/// settle the large component on the sketch rung and rerun Theorem 4 on the
+/// merged small components only, and the replay must match from-scratch on
+/// the survivors at every thread count.
+#[test]
+fn scoped_recomputes_beside_a_churned_component_match_from_scratch() {
+    const LARGE: usize = 120;
+    const SMALL: usize = 12;
+    const NUM_SMALL: usize = 6;
+    let lambda = 0.3;
+    for seed in SEEDS {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5C0B);
+        let mut components = Vec::new();
+        let mut shift = 0u64;
+        for size in std::iter::once(LARGE).chain([SMALL; NUM_SMALL]) {
+            let g = wcc_graph::generators::random_regular_permutation_graph(size, 8, &mut rng);
+            components.push(
+                g.edge_iter()
+                    .map(|(u, v)| (u as u64 + shift, v as u64 + shift))
+                    .collect::<Vec<_>>(),
+            );
+            shift += size as u64;
+        }
+        let n = shift as usize;
+        let small_base = |i: usize| (LARGE + i * SMALL) as u64;
+
+        // Simple (single-copy, non-loop) edges of the large expander: their
+        // deletions are structural.
+        let mut copies = std::collections::HashMap::new();
+        for &(u, v) in &components[0] {
+            *copies.entry((u.min(v), u.max(v))).or_insert(0u32) += 1;
+        }
+        let mut simple: Vec<(u64, u64)> = components[0]
+            .iter()
+            .copied()
+            .filter(|&(u, v)| u != v && copies[&(u.min(v), u.max(v))] == 1)
+            .collect();
+        simple.shuffle(&mut rng);
+
+        let mut schedule: Vec<Vec<EdgeOp>> = vec![components
+            .iter()
+            .flatten()
+            .map(|&(u, v)| EdgeOp::insert(u, v))
+            .collect()];
+        let mut doomed = simple.chunks(4);
+        let mut previous: &[(u64, u64)] = &[];
+        for i in 0..NUM_SMALL - 1 {
+            let mut batch = vec![EdgeOp::insert(small_base(i), small_base(i + 1))];
+            let now = doomed.next().expect("enough simple edges");
+            batch.extend(now.iter().map(|&(u, v)| EdgeOp::delete(u, v)));
+            batch.extend(previous.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
+            previous = now;
+            schedule.push(batch);
+        }
+
+        // The surviving multiset, tracked independently of the engine.
+        let mut live: std::collections::BTreeMap<(u64, u64), usize> = Default::default();
+        for op in schedule.iter().flatten() {
+            let count = live.entry((op.u.min(op.v), op.u.max(op.v))).or_default();
+            match op.kind {
+                wcc_graph::io::OpKind::Insert => *count += 1,
+                wcc_graph::io::OpKind::Delete => *count -= 1,
+            }
+        }
+        let survivors: Vec<(u64, u64)> = live
+            .iter()
+            .flat_map(|(&e, &c)| std::iter::repeat_n(e, c))
+            .collect();
+        let surviving =
+            Graph::from_edges(n, survivors.iter().map(|&(u, v)| (u as usize, v as usize))).unwrap();
+        let scratch =
+            well_connected_components(&surviving, lambda, &Params::test_scale(), seed).unwrap();
+        let truth = connected_components(&surviving);
+        assert!(scratch.components.same_partition(&truth), "seed {seed}");
+
+        for threads in THREAD_COUNTS {
+            let params = StreamParams::test_scale()
+                .with_lambda(lambda)
+                .with_threads(threads);
+            let mut engine = IncrementalComponents::new(params, seed);
+            for (b, batch) in schedule.iter().enumerate() {
+                let r = engine.apply_ops_batch(batch).unwrap();
+                let at = format!("seed {seed}, threads {threads}, batch {b}");
+                let current = connected_components(&engine.current_graph());
+                assert!(engine.labels().same_partition(&current), "{at}");
+                if b == 0 {
+                    continue;
+                }
+                assert_eq!(
+                    r.path,
+                    BatchPath::Recompute(RecomputeReason::StandingMerge),
+                    "{at}"
+                );
+                assert_eq!(r.recomputed_vertices, (b + 1) * SMALL, "{at}");
+                assert_eq!(r.sketch_recertifies + r.splits, 1, "{at}");
+            }
+            assert_eq!(engine.num_edges(), survivors.len());
+            let incremental = engine.labels_for_universe(n);
+            assert!(
+                incremental.same_partition(&scratch.components),
+                "scoped replay diverged from the from-scratch pipeline: \
+                 seed {seed}, threads {threads}"
+            );
+        }
+    }
 }
 
 fn sample_path(name: &str) -> std::path::PathBuf {

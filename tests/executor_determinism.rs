@@ -232,7 +232,7 @@ fn v3_walk_engine_is_bit_identical_across_thread_counts() {
 /// the same batch schedule through `IncrementalComponents` at 1/2/8 worker
 /// threads yields the same labels, the same cumulative `RoundStats` (model
 /// quantities — wall times are excluded from equality by design), and the
-/// same per-batch path/round/word decisions. The engine interleaves
+/// same per-batch path/scope/round/word decisions. The engine interleaves
 /// union-find fast paths with full pipeline recomputes, so this transitively
 /// pins the whole fast/slow escalation machinery onto the executor
 /// determinism contract.
@@ -265,7 +265,15 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
                 // contract).
                 let decisions: Vec<_> = reports
                     .iter()
-                    .map(|r| (r.path, r.rounds, r.communication_words, r.components_after))
+                    .map(|r| {
+                        (
+                            r.path,
+                            r.recomputed_vertices,
+                            r.rounds,
+                            r.communication_words,
+                            r.components_after,
+                        )
+                    })
                     .collect();
                 (engine.labels(), engine.stats(), decisions)
             };
@@ -294,8 +302,9 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
 /// counts too: the sketch-repair machinery — lazy sketch build, per-component
 /// sketch-Borůvka certification, union-find rebuild after a split — runs on
 /// top of the same executor seam, so the labels, cumulative `RoundStats` and
-/// the per-batch decision tuple (now including op counts, splits and
-/// recertifications) must not depend on the worker count.
+/// the per-batch decision tuple (op counts, splits, recertifications and
+/// the vertices Theorem 4 ran on included) must not depend on the worker
+/// count.
 #[test]
 fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
     use rand::seq::SliceRandom;
@@ -328,6 +337,7 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
                     .map(|r| {
                         (
                             r.path,
+                            r.recomputed_vertices,
                             r.rounds,
                             r.communication_words,
                             r.components_after,
