@@ -2,13 +2,13 @@
 //! estimation, the AGM connectivity sketch, and the MPC sort primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::SeedableRng;
+use rand::{seq::SliceRandom, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use wcc_core::walks::{direct_walk_targets, layered_walk_bundle};
 use wcc_graph::prelude::*;
 use wcc_mpc::{primitives::distributed_sort, Cluster, MpcConfig, MpcContext};
-use wcc_sketch::ConnectivitySketch;
+use wcc_sketch::{ConnectivitySketch, DynamicConnectivitySketch};
 
 fn bench_walks(c: &mut Criterion) {
     let mut group = c.benchmark_group("random_walks");
@@ -64,6 +64,30 @@ fn bench_sketch(c: &mut Criterion) {
             sk.components()
         })
     });
+    // The turnstile sketch the stream engine repairs with: 4000 pair
+    // updates (a Hamiltonian cycle over a random order, so one 4000-member
+    // component) at the engine's 26 phases, then one member-restricted
+    // Borůvka over the whole component.
+    let n = 4000u32;
+    let mut order: Vec<u32> = (0..n).collect();
+    order.shuffle(&mut rng);
+    let cycle: Vec<(u32, u32)> = (0..n as usize)
+        .map(|i| (order[i], order[(i + 1) % n as usize]))
+        .collect();
+    let members: Vec<u32> = (0..n).collect();
+    let build_and_repair = || {
+        let mut sk = DynamicConnectivitySketch::new(26, 9);
+        for _ in 0..n {
+            sk.push_vertex();
+        }
+        for &(u, v) in &cycle {
+            sk.add_edge(u, v);
+        }
+        sk.subset_components(&members)
+    };
+    let partition = build_and_repair().expect("the cycle certifies");
+    assert_eq!(partition.parts.len(), 1, "the cycle is one component");
+    group.bench_function("dynamic_pairs4000_subset4000", |b| b.iter(build_and_repair));
     group.finish();
 }
 

@@ -17,30 +17,121 @@
 //! component has an outgoing edge and the components are exactly the
 //! connected components of the graph.
 
-use crate::l0::L0Sampler;
+use crate::l0::{fingerprint_point, level_of, L0Sampler};
+use crate::one_sparse::{field_of, mul_mod, Measurements, PowerTable};
 
-use serde::{Deserialize, Serialize};
 use wcc_graph::{ComponentLabels, UnionFind};
+
+/// The shared random bits of Proposition 8.1 for `num_phases` Borůvka
+/// phases: per phase, the seed of the ℓ0-samplers' level hash, their
+/// fingerprint point `z`, and a table of the powers `z^(j·256^i)` that
+/// turns `z^index` into 7 multiplies. Every vertex sketch of one
+/// connectivity sketch is built from the same value, which is what makes
+/// the vertex sketches addable; the tables are held once here, not per
+/// vertex.
+#[derive(Debug, Clone)]
+pub struct SharedRandomness {
+    seed: u64,
+    phases: Vec<PhaseHash>,
+}
+
+#[derive(Debug, Clone)]
+struct PhaseHash {
+    seed: u64,
+    powers: PowerTable,
+}
+
+impl PhaseHash {
+    /// The level of coordinate `index` and the measurements of the update
+    /// `vector[index] += delta`. Both are the same for every level of a
+    /// sampler and for every vertex.
+    fn hash(&self, index: u64, delta: i64) -> (usize, Measurements) {
+        let term = mul_mod(field_of(delta), self.powers.pow(index));
+        (
+            level_of(self.seed, index),
+            Measurements::of_update(index, delta, term),
+        )
+    }
+}
+
+impl SharedRandomness {
+    /// Derives the per-phase hashes from `seed` (phase `p` samples with the
+    /// seed `seed + 0x9E3779B9·(p + 1)`).
+    pub fn new(num_phases: usize, seed: u64) -> Self {
+        let phases = (0..num_phases)
+            .map(|p| {
+                let seed = seed.wrapping_add(0x9E37_79B9 * (p as u64 + 1));
+                PhaseHash {
+                    seed,
+                    powers: PowerTable::new(fingerprint_point(seed)),
+                }
+            })
+            .collect();
+        SharedRandomness { seed, phases }
+    }
+
+    /// Number of Borůvka phases.
+    pub fn num_phases(&self) -> usize {
+        self.phases.len()
+    }
+
+    /// `z^index mod p` for phase `phase`'s fingerprint point.
+    pub(crate) fn pow(&self, phase: usize, index: u64) -> u64 {
+        self.phases[phase].powers.pow(index)
+    }
+}
+
+/// Equal exactly when built from the same phase count and seed (the tables
+/// are a function of both).
+impl PartialEq for SharedRandomness {
+    fn eq(&self, other: &Self) -> bool {
+        self.seed == other.seed && self.phases.len() == other.phases.len()
+    }
+}
+
+impl Eq for SharedRandomness {}
 
 /// The per-vertex message of Proposition 8.1: `num_phases` independent
 /// ℓ0-samplers of the vertex's signed edge-incidence vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexSketch {
     samplers: Vec<L0Sampler>,
 }
 
 impl VertexSketch {
-    pub(crate) fn new(num_phases: usize, base_seed: u64) -> Self {
+    pub(crate) fn new(shared: &SharedRandomness) -> Self {
         VertexSketch {
-            samplers: (0..num_phases)
-                .map(|p| L0Sampler::new(base_seed.wrapping_add(0x9E37_79B9 * (p as u64 + 1))))
+            samplers: shared
+                .phases
+                .iter()
+                .map(|ph| L0Sampler::new(ph.seed))
                 .collect(),
         }
     }
 
-    pub(crate) fn update(&mut self, index: u64, delta: i64) {
-        for s in &mut self.samplers {
-            s.update(index, delta);
+    /// Applies `vector[index] += delta` to every phase's sampler.
+    pub(crate) fn update(&mut self, shared: &SharedRandomness, index: u64, delta: i64) {
+        for (s, ph) in self.samplers.iter_mut().zip(&shared.phases) {
+            let (level, update) = ph.hash(index, delta);
+            s.apply(level, &update);
+        }
+    }
+
+    /// Applies the signed incidence update of one edge: `+delta` at
+    /// `index` to `lo`'s samplers and `-delta` to `hi`'s, hashing the
+    /// coordinate once per phase for both endpoints.
+    pub(crate) fn update_pair(
+        lo: &mut VertexSketch,
+        hi: &mut VertexSketch,
+        shared: &SharedRandomness,
+        index: u64,
+        delta: i64,
+    ) {
+        let pairs = lo.samplers.iter_mut().zip(hi.samplers.iter_mut());
+        for ((a, b), ph) in pairs.zip(&shared.phases) {
+            let (level, update) = ph.hash(index, delta);
+            a.apply(level, &update);
+            b.apply(level, &update.negated());
         }
     }
 
@@ -68,10 +159,10 @@ impl VertexSketch {
 }
 
 /// The full AGM connectivity sketch of a graph on `n` vertices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectivitySketch {
     n: usize,
-    num_phases: usize,
+    shared: SharedRandomness,
     vertices: Vec<VertexSketch>,
 }
 
@@ -91,29 +182,33 @@ impl ConnectivitySketch {
     /// of Proposition 8.1, and it is what makes sketches of different
     /// vertices addable.
     pub fn with_phases(n: usize, num_phases: usize, seed: u64) -> Self {
+        let shared = SharedRandomness::new(num_phases, seed);
         ConnectivitySketch {
             n,
-            num_phases,
-            vertices: (0..n)
-                .map(|_| VertexSketch::new(num_phases, seed))
-                .collect(),
+            vertices: (0..n).map(|_| VertexSketch::new(&shared)).collect(),
+            shared,
         }
     }
 
     /// Reassembles a sketch from per-vertex messages built independently
-    /// with [`ConnectivitySketch::vertex_sketch_for`] — the fan-in half of a
-    /// per-vertex parallel construction. Equivalent to feeding every edge
-    /// through [`ConnectivitySketch::add_edge`] (sketch updates are linear,
-    /// so per-vertex construction order cannot matter).
+    /// with [`ConnectivitySketch::vertex_sketch_for`] from the same
+    /// `shared` randomness — the fan-in half of a per-vertex parallel
+    /// construction. Equivalent to feeding every edge through
+    /// [`ConnectivitySketch::add_edge`] (sketch updates are linear, so
+    /// per-vertex construction order cannot matter).
     ///
     /// # Panics
     ///
     /// Panics if `vertices.len() != n`.
-    pub fn from_vertex_sketches(n: usize, num_phases: usize, vertices: Vec<VertexSketch>) -> Self {
+    pub fn from_vertex_sketches(
+        n: usize,
+        shared: SharedRandomness,
+        vertices: Vec<VertexSketch>,
+    ) -> Self {
         assert_eq!(vertices.len(), n, "one message per vertex required");
         ConnectivitySketch {
             n,
-            num_phases,
+            shared,
             vertices,
         }
     }
@@ -122,18 +217,17 @@ impl ConnectivitySketch {
     /// neighbour list (as stored by
     /// [`Graph::neighbors`](wcc_graph::Graph::neighbors); self-loops are
     /// ignored, parallel edges counted with multiplicity). A pure function
-    /// of `(v, neighbors)`, so callers can fan the per-vertex work out on
-    /// any execution backend and reassemble with
+    /// of `(shared, v, neighbors)`, so callers can fan the per-vertex work
+    /// out on any execution backend and reassemble with
     /// [`ConnectivitySketch::from_vertex_sketches`].
     pub fn vertex_sketch_for(
+        shared: &SharedRandomness,
         n: usize,
-        num_phases: usize,
-        seed: u64,
         v: usize,
         neighbors: &[u32],
     ) -> VertexSketch {
         assert!(v < n, "vertex out of range");
-        let mut sketch = VertexSketch::new(num_phases, seed);
+        let mut sketch = VertexSketch::new(shared);
         for &w in neighbors {
             let w = w as usize;
             if w == v {
@@ -141,7 +235,7 @@ impl ConnectivitySketch {
             }
             let (a, b) = if v < w { (v, w) } else { (w, v) };
             let idx = a as u64 * n as u64 + b as u64;
-            sketch.update(idx, if v == a { 1 } else { -1 });
+            sketch.update(shared, idx, if v == a { 1 } else { -1 });
         }
         sketch
     }
@@ -171,14 +265,7 @@ impl ConnectivitySketch {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: usize, v: usize) {
-        assert!(u < self.n && v < self.n, "edge endpoint out of range");
-        if u == v {
-            return;
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let idx = self.edge_index(a, b);
-        self.vertices[a].update(idx, 1);
-        self.vertices[b].update(idx, -1);
+        self.apply_edge(u, v, 1);
     }
 
     /// Deletes the undirected edge `{u, v}` (the sketch is linear, so
@@ -188,14 +275,18 @@ impl ConnectivitySketch {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn remove_edge(&mut self, u: usize, v: usize) {
+        self.apply_edge(u, v, -1);
+    }
+
+    fn apply_edge(&mut self, u: usize, v: usize, delta: i64) {
         assert!(u < self.n && v < self.n, "edge endpoint out of range");
         if u == v {
             return;
         }
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         let idx = self.edge_index(a, b);
-        self.vertices[a].update(idx, -1);
-        self.vertices[b].update(idx, 1);
+        let (head, tail) = self.vertices.split_at_mut(b);
+        VertexSketch::update_pair(&mut head[a], &mut tail[0], &self.shared, idx, delta);
     }
 
     /// The per-vertex message for vertex `v` (what each "player" sends to the
@@ -223,7 +314,7 @@ impl ConnectivitySketch {
         // replaces the hash map and keeps the iteration order deterministic:
         // components are visited in first-seen vertex order).
         let mut slot_of_root = vec![usize::MAX; self.n];
-        for phase in 0..self.num_phases {
+        for phase in 0..self.shared.num_phases() {
             // Sum the phase-th sampler of each component.
             let mut acc: Vec<(usize, L0Sampler)> = Vec::new();
             for v in 0..self.n {
@@ -251,7 +342,7 @@ impl ConnectivitySketch {
                     continue;
                 }
                 all_zero = false;
-                if let Some((idx, _weight)) = sampler.sample() {
+                if let Some((idx, _weight)) = sampler.sample_with(|i| self.shared.pow(phase, i)) {
                     let (u, v) = self.decode_edge(idx);
                     if u < self.n && v < self.n {
                         uf.union(u, v);
@@ -291,10 +382,11 @@ mod tests {
         for (u, v) in g.edge_iter() {
             incremental.add_edge(u, v);
         }
+        let shared = SharedRandomness::new(phases, seed);
         let messages: Vec<VertexSketch> = (0..n)
-            .map(|v| ConnectivitySketch::vertex_sketch_for(n, phases, seed, v, g.neighbors(v)))
+            .map(|v| ConnectivitySketch::vertex_sketch_for(&shared, n, v, g.neighbors(v)))
             .collect();
-        let assembled = ConnectivitySketch::from_vertex_sketches(n, phases, messages);
+        let assembled = ConnectivitySketch::from_vertex_sketches(n, shared, messages);
         assert_eq!(incremental, assembled);
     }
 

@@ -23,6 +23,22 @@
 //! update on the same coordinate, so after any interleaving of inserts and
 //! deletes the sketch equals the sketch of the surviving edge multiset.
 //!
+//! **Cost of an edge op.** The coordinate's level and its fingerprint power
+//! `z^index` depend only on the phase and the coordinate, so
+//! [`add_edge`](DynamicConnectivitySketch::add_edge) and
+//! [`remove_edge`](DynamicConnectivitySketch::remove_edge) compute them once
+//! per phase and apply `+δ` to the smaller endpoint and `−δ` to the larger.
+//! The power is a product of 8 entries of the phase's power table (held
+//! once by the sketch, 16 KiB per phase), each multiply reduced modulo the
+//! Mersenne prime `2^61 − 1` by shifts and adds. What remains per phase and
+//! endpoint is one add per level the coordinate reaches (2 on average).
+//!
+//! **Memory.** A vertex stores, per phase, only the populated levels of its
+//! sampler (32 bytes each, about `log₂ d + 1` of them at degree `d`), not
+//! the 61 levels the message-size model charges; the charged size,
+//! [`words_per_vertex`](DynamicConnectivitySketch::words_per_vertex), is
+//! the model's and does not depend on what is stored.
+//!
 //! [`DynamicConnectivitySketch::subset_components`] is the repair primitive
 //! the streaming engine runs after a deletion: sketch-space Borůvka restricted
 //! to the members of one (possibly no-longer-connected) component, returning
@@ -31,10 +47,8 @@
 //! or `None` on sampling failure so the caller can escalate to a full
 //! recompute.
 
-use crate::connectivity::VertexSketch;
+use crate::connectivity::{SharedRandomness, VertexSketch};
 use crate::l0::L0Sampler;
-
-use serde::{Deserialize, Serialize};
 
 /// Encodes the unordered edge `{u, v}` as an ℓ0 coordinate independent of the
 /// vertex count: the smaller endpoint in the high 32 bits.
@@ -65,10 +79,9 @@ pub struct SubsetPartition {
 /// All vertices share the same per-phase hash seeds (the shared-randomness
 /// requirement of Proposition 8.1), so per-vertex sketches remain addable and
 /// a component's sketch is the sum of its members' sketches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicConnectivitySketch {
-    num_phases: usize,
-    seed: u64,
+    shared: SharedRandomness,
     words_per_vertex: usize,
     vertices: Vec<VertexSketch>,
 }
@@ -79,10 +92,10 @@ impl DynamicConnectivitySketch {
     /// [`subset_components`](Self::subset_components) and the message size.
     pub fn new(num_phases: usize, seed: u64) -> Self {
         assert!(num_phases > 0, "at least one Borůvka phase required");
-        let words_per_vertex = VertexSketch::new(num_phases, seed).size_in_words();
+        let shared = SharedRandomness::new(num_phases, seed);
+        let words_per_vertex = VertexSketch::new(&shared).size_in_words();
         DynamicConnectivitySketch {
-            num_phases,
-            seed,
+            shared,
             words_per_vertex,
             vertices: Vec::new(),
         }
@@ -95,11 +108,11 @@ impl DynamicConnectivitySketch {
 
     /// Number of Borůvka phases per vertex.
     pub fn num_phases(&self) -> usize {
-        self.num_phases
+        self.shared.num_phases()
     }
 
-    /// Size of one vertex's message in machine words (constant: samplers are
-    /// fixed-size regardless of content).
+    /// Size of one vertex's message in machine words (constant: the model
+    /// charges every sampler its full 61 levels, however few are stored).
     pub fn words_per_vertex(&self) -> usize {
         self.words_per_vertex
     }
@@ -107,8 +120,7 @@ impl DynamicConnectivitySketch {
     /// Appends one fresh (edge-less) vertex; its dense id is the previous
     /// vertex count. Existing coordinates are unaffected.
     pub fn push_vertex(&mut self) {
-        self.vertices
-            .push(VertexSketch::new(self.num_phases, self.seed));
+        self.vertices.push(VertexSketch::new(&self.shared));
     }
 
     /// Inserts the undirected edge `{u, v}`. Self-loops are ignored (no slot
@@ -143,8 +155,14 @@ impl DynamicConnectivitySketch {
         }
         let idx = edge_coordinate(u, v);
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.vertices[a as usize].update(idx, delta);
-        self.vertices[b as usize].update(idx, -delta);
+        let (head, tail) = self.vertices.split_at_mut(b as usize);
+        VertexSketch::update_pair(
+            &mut head[a as usize],
+            &mut tail[0],
+            &self.shared,
+            idx,
+            delta,
+        );
     }
 
     /// Sketch-space Borůvka restricted to `members` (sorted ascending, no
@@ -200,8 +218,9 @@ impl DynamicConnectivitySketch {
         // may complete the partition, and the zero test is valid on any
         // phase's samplers (level 0 holds every coordinate regardless of the
         // phase's sub-sampling randomness).
-        for round in 0..=self.num_phases {
-            let phase = round.min(self.num_phases - 1);
+        let num_phases = self.num_phases();
+        for round in 0..=num_phases {
+            let phase = round.min(num_phases - 1);
             let mut acc: Vec<(u32, L0Sampler)> = Vec::new();
             for (pos, &m) in members.iter().enumerate() {
                 let root = find(&mut parent, pos as u32);
@@ -237,14 +256,14 @@ impl DynamicConnectivitySketch {
                     phases_used: round,
                 });
             }
-            if round == self.num_phases {
+            if round == num_phases {
                 return None;
             }
             for (_, sampler) in acc {
                 if sampler.is_zero() {
                     continue;
                 }
-                if let Some((idx, _weight)) = sampler.sample() {
+                if let Some((idx, _weight)) = sampler.sample_with(|i| self.shared.pow(phase, i)) {
                     let (u, v) = decode_edge_coordinate(idx);
                     // A fingerprint collision can surface a garbage
                     // coordinate; only union endpoints that are both members.
@@ -383,6 +402,99 @@ mod tests {
         let a = sk.subset_components(&all_members(12)).unwrap();
         let b = sk.subset_components(&all_members(12)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn pair_updates_equal_per_vertex_sampler_updates() {
+        use rand::{Rng, SeedableRng};
+        let (n, phases, seed) = (24u32, 5, 42u64);
+        let mut sk = DynamicConnectivitySketch::new(phases, seed);
+        for _ in 0..n {
+            sk.push_vertex();
+        }
+        // The reference: each endpoint's samplers updated on their own.
+        let mut reference: Vec<Vec<L0Sampler>> = (0..n)
+            .map(|_| {
+                (0..phases)
+                    .map(|p| L0Sampler::new(seed.wrapping_add(0x9E37_79B9 * (p as u64 + 1))))
+                    .collect()
+            })
+            .collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let mut live: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..300 {
+            let (u, v, delta) = if !live.is_empty() && rng.gen_bool(0.4) {
+                let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                sk.remove_edge(u, v);
+                (u, v, -1)
+            } else {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                sk.add_edge(u, v);
+                live.push((u, v));
+                (u, v, 1)
+            };
+            if u == v {
+                continue;
+            }
+            let idx = edge_coordinate(u, v);
+            for s in &mut reference[u.min(v) as usize] {
+                s.update(idx, delta);
+            }
+            for s in &mut reference[u.max(v) as usize] {
+                s.update(idx, -delta);
+            }
+        }
+        for (v, samplers) in reference.iter().enumerate() {
+            for (p, want) in samplers.iter().enumerate() {
+                assert_eq!(
+                    sk.vertices[v].phase_sampler(p),
+                    want,
+                    "vertex {v} phase {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn insert_then_delete_of_a_high_level_coordinate_leaves_the_sketch_unchanged() {
+        let base = sketch_with(64, &[(0, 1), (2, 3), (5, 40)]);
+        // The pair whose coordinate reaches the highest level in any phase.
+        let level = |u: u32, v: u32| {
+            (0..base.num_phases())
+                .map(|p| {
+                    let seed = base.vertices[0].phase_sampler(p).seed();
+                    crate::l0::level_of(seed, edge_coordinate(u, v))
+                })
+                .max()
+                .unwrap()
+        };
+        let (u, v) = (0..64u32)
+            .flat_map(|u| (u + 1..64).map(move |v| (u, v)))
+            .max_by_key(|&(u, v)| level(u, v))
+            .unwrap();
+        assert!(level(u, v) >= 10, "no high-level pair among 2016");
+        let mut churned = base.clone();
+        churned.add_edge(u, v);
+        assert_ne!(churned, base);
+        churned.remove_edge(v, u);
+        assert_eq!(churned, base);
+        assert_eq!(churned, {
+            let mut fresh = sketch_with(64, &[]);
+            for (a, b) in [(5, 40), (2, 3), (0, 1)] {
+                fresh.add_edge(a, b);
+            }
+            fresh
+        });
+    }
+
+    #[test]
+    fn words_per_vertex_is_pinned_at_the_61_level_model_size() {
+        // 26 phases × (seed + 61 levels × 4 words): the words the stream
+        // engine charges per repaired member.
+        assert_eq!(
+            DynamicConnectivitySketch::new(26, 7).words_per_vertex(),
+            6370
+        );
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! * [`ConnectivitySketch`] — the AGM sketch: each vertex sketches its signed
 //!   edge-incidence vector with `O(log n)` independent L0 samplers; sketches
 //!   are *linear*, so the sketch of a component is the sum of its vertices'
-//!   sketches, and Borůvka can be run entirely in sketch space.
+//!   sketches, and Borůvka can be run entirely in sketch space;
+//! * [`SharedRandomness`] — the per-phase hash seeds and fingerprint power
+//!   tables every vertex sketch of one sketch shares;
+//! * [`DynamicConnectivitySketch`] — the same sketch over a growing vertex
+//!   set, with the member-restricted Borůvka a turnstile stream repairs with.
 //!
 //! ```
 //! use wcc_sketch::ConnectivitySketch;
@@ -38,7 +42,7 @@ pub mod dynamic;
 pub mod l0;
 pub mod one_sparse;
 
-pub use crate::connectivity::ConnectivitySketch;
+pub use crate::connectivity::{ConnectivitySketch, SharedRandomness};
 pub use crate::dynamic::{DynamicConnectivitySketch, SubsetPartition};
 pub use crate::l0::L0Sampler;
 pub use crate::one_sparse::{OneSparseRecovery, RecoveryOutcome};

@@ -16,7 +16,7 @@ use wcc_graph::io::{
 };
 use wcc_graph::prelude::*;
 use wcc_mpc::{MpcConfig, MpcContext};
-use wcc_sketch::ConnectivitySketch;
+use wcc_sketch::{ConnectivitySketch, DynamicConnectivitySketch};
 
 /// Strategy: a random sparse graph given by a vertex count and an edge list.
 fn arb_graph(max_n: usize, max_extra_edges: usize) -> impl Strategy<Value = Graph> {
@@ -100,6 +100,54 @@ proptest! {
         // Always a refinement; equal with the default number of phases.
         prop_assert!(got.is_refinement_of(&truth));
         prop_assert!(got.same_partition(&truth));
+    }
+
+    #[test]
+    fn turnstile_sketch_equals_the_sketch_of_the_surviving_multiset(
+        n in 2u32..40,
+        draws in proptest::collection::vec((0u32..40, 0u32..40, proptest::bool::ANY), 0..200),
+        seed in 0u64..50,
+    ) {
+        // Interleave inserts with deletes of live copies; a delete draw with
+        // nothing live inserts instead.
+        let mut churned = DynamicConnectivitySketch::new(8, seed);
+        for _ in 0..n {
+            churned.push_vertex();
+        }
+        let mut live: Vec<(u32, u32)> = Vec::new();
+        for &(a, b, delete) in &draws {
+            if delete && !live.is_empty() {
+                let (u, v) = live.swap_remove((a as usize * 41 + b as usize) % live.len());
+                churned.remove_edge(u, v);
+            } else {
+                let (u, v) = (a % n, b % n);
+                churned.add_edge(u, v);
+                live.push((u, v));
+            }
+        }
+        let mut survivors = DynamicConnectivitySketch::new(8, seed);
+        for _ in 0..n {
+            survivors.push_vertex();
+        }
+        for &(u, v) in &live {
+            survivors.add_edge(u, v);
+        }
+        prop_assert_eq!(&churned, &survivors);
+        // A certified partition is the exact one.
+        let members: Vec<u32> = (0..n).collect();
+        let got = churned.subset_components(&members);
+        prop_assert_eq!(&got, &survivors.subset_components(&members));
+        if let Some(partition) = got {
+            let g = Graph::from_edges_unchecked(
+                n as usize,
+                live.iter().map(|&(u, v)| (u as usize, v as usize)),
+            );
+            let truth = connected_components(&g);
+            prop_assert_eq!(partition.parts.len(), truth.num_components());
+            for part in &partition.parts {
+                prop_assert!(part.iter().all(|&m| truth.label(m as usize) == truth.label(part[0] as usize)));
+            }
+        }
     }
 
     #[test]
